@@ -36,7 +36,8 @@ echo "==> smoke bench (pinned seed, bounded, throughput-gated)"
 # A small live benchmark against a loopback cluster: exits non-zero
 # unless traffic flowed, the deterministic schedule digest reproduced,
 # the error rate stayed within bounds, the bounded pass evicted with
-# zero unconfirmed eviction deregistrations, the moving-hotspot pass
+# zero unconfirmed eviction deregistrations, no pass left a failed
+# update delivery or directory handoff, the moving-hotspot pass
 # (pinned seed 42) left post-rebalance beacon-load CoV strictly below
 # the stale-table CoV, AND throughput cleared the floors below. The
 # floors are deliberately far under the dev-box numbers (~50k

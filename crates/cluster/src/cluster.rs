@@ -157,16 +157,23 @@ mod tests {
         let client = cluster.client();
         client.publish("/doc", b"payload".to_vec(), 7)?;
         let beacon = client.beacon_of("/doc");
-        // Fetch via a node that is NOT the beacon: local miss -> beacon
-        // lookup -> peer fetch -> local store.
+        // Fetch via a node that is NOT the beacon: local miss -> one Fill
+        // at the beacon, which holds the copy, answers with it and
+        // registers the requester -> local store.
         let other = (beacon + 1) % 4;
         let (body, _) = client.fetch_via(other, "/doc")?.expect("served");
         assert_eq!(body, b"payload");
-        // The first fetch was a cloud hit (peer fetch); the stored copy
-        // makes the second fetch a local hit.
         let before = client.stats(other)?;
         assert_eq!(before.counter("cloud_hits"), 1);
-        assert_eq!(before.counter("peer_fetches"), 1);
+        assert_eq!(before.counter("beacon_fills"), 1);
+        assert_eq!(before.counter("peer_fetches"), 0, "no Get to a holder");
+        let rpcs = before.histogram("rpc_ms").map_or(0, |h| h.count);
+        assert_eq!(rpcs, 1, "the miss cost exactly one peer round trip");
+        // The beacon registered the requester in that same exchange.
+        let beacon_stats = client.stats(beacon)?;
+        assert_eq!(beacon_stats.counter("registrations"), 2);
+        assert_eq!(beacon_stats.directory_records, 2);
+        // The stored copy makes the second fetch a local hit.
         client.fetch_via(other, "/doc")?.expect("served");
         let after = client.stats(other)?;
         assert_eq!(

@@ -4,8 +4,9 @@
 //! stream, and the server reactor keeps each accepted connection open
 //! across frames until EOF — so a single [`Connection`] can carry
 //! arbitrarily many exchanges. [`ConnectionPool`] keeps a small idle list
-//! per peer and is what [`crate::CloudClient`] and node peer/beacon RPCs
-//! ride on instead of paying a fresh `TcpStream::connect` per RPC.
+//! per peer and is what [`crate::CloudClient`] rides on instead of paying a
+//! fresh `TcpStream::connect` per RPC. Nodes keep the same contract for
+//! their peer calls, with one nonblocking pool per reactor shard.
 //!
 //! ## Hot-path economics
 //!
@@ -159,7 +160,7 @@ impl Connection {
     }
 }
 
-fn peer_err(peer: SocketAddr, e: &CacheCloudError) -> CacheCloudError {
+pub(crate) fn peer_err(peer: SocketAddr, e: &CacheCloudError) -> CacheCloudError {
     match e {
         CacheCloudError::Io(m) => CacheCloudError::Io(format!("peer {peer}: {m}")),
         CacheCloudError::Protocol(m) => CacheCloudError::Protocol(format!("peer {peer}: {m}")),

@@ -9,13 +9,14 @@
 //! the origin pushes one update per cloud to the beacon, which fans it out
 //! to the holders.
 //!
-//! The implementation is deliberately dependency-light: blocking sockets,
-//! one thread per connection (cache clouds are small by construction — the
-//! paper's biggest cloud has 50 caches), poison-tolerant `std::sync` locks
-//! and a compact hand-rolled wire format over an in-tree shared
-//! [`wire::Bytes`]. It uses no crates outside the workspace. Clients and peer RPCs reuse
-//! pooled persistent connections (see [`conn`]) instead of paying a TCP
-//! connect per request.
+//! The implementation is deliberately dependency-light: each node is a few
+//! `epoll` event-loop shards whose requests run as tasks on a std-only
+//! executor, awaiting nonblocking peer calls instead of blocking a thread;
+//! poison-tolerant `std::sync` locks guard the shared state, and a compact
+//! hand-rolled wire format rides an in-tree shared [`wire::Bytes`]. It uses
+//! no crates outside the workspace. Clients and peer calls reuse pooled
+//! persistent connections (see [`conn`]) instead of paying a TCP connect
+//! per request.
 //!
 //! # Examples
 //!

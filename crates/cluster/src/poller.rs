@@ -1,13 +1,22 @@
-//! A minimal Linux `epoll` abstraction for the sharded reactor.
+//! A minimal Linux `epoll` abstraction for the sharded reactor, plus the
+//! nonblocking `connect` its peer calls need.
 //!
 //! The reactor needs exactly four operations — create an interest list,
 //! add/modify/remove a file descriptor, and block until something is
 //! ready — so rather than pull in an event-loop crate, this module binds
-//! the four `epoll` syscalls directly against the C library the binary
-//! already links. Events are **level-triggered**: a readiness bit stays
-//! set while the condition holds, which lets the reactor stop reading a
-//! connection mid-burst (backpressure, per-connection ordering) and pick
-//! it up on the next tick without an edge getting lost.
+//! the `epoll` syscalls directly against the C library the binary
+//! already links. Client connections are **level-triggered**: a readiness
+//! bit stays set while the condition holds, which lets the reactor stop
+//! reading a connection mid-burst (backpressure, per-connection ordering)
+//! and pick it up on the next tick without an edge getting lost. Peer
+//! connections are armed **one-shot** ([`Poller::arm_once`]): a task
+//! parks on a socket only after a read or write would block, and one
+//! event disarms the socket again, so an idle pooled connection never
+//! wakes its shard.
+//!
+//! `std` can only connect a socket blockingly, which would stall every
+//! connection on a shard behind one unresponsive peer;
+//! [`connect_nonblocking`] issues the `socket`/`connect` pair itself.
 //!
 //! This is the only module in the crate that contains `unsafe`; every
 //! call site is a thin FFI shim with the invariants stated inline.
@@ -15,8 +24,9 @@
 #![allow(unsafe_code)]
 
 use std::io::{self, Read, Write};
-use std::os::raw::c_int;
-use std::os::unix::io::RawFd;
+use std::net::{SocketAddr, TcpStream};
+use std::os::raw::{c_int, c_void};
+use std::os::unix::io::{FromRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
@@ -41,12 +51,41 @@ const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLONESHOT: u32 = 1 << 30;
+
+const AF_INET: c_int = 2;
+const AF_INET6: c_int = 10;
+const SOCK_STREAM: c_int = 1;
+const SOCK_NONBLOCK: c_int = 0o4000;
+const SOCK_CLOEXEC: c_int = 0o2000000;
+const EINPROGRESS: i32 = 115;
+
+/// `struct sockaddr_in`: port and address in network byte order.
+#[repr(C)]
+struct SockAddrV4 {
+    family: u16,
+    port: u16,
+    addr: [u8; 4],
+    zero: [u8; 8],
+}
+
+/// `struct sockaddr_in6`: port and flow info in network byte order.
+#[repr(C)]
+struct SockAddrV6 {
+    family: u16,
+    port: u16,
+    flowinfo: u32,
+    addr: [u8; 16],
+    scope_id: u32,
+}
 
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -128,9 +167,9 @@ impl Poller {
         Ok(Poller { epfd })
     }
 
-    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
         let mut ev = EpollEvent {
-            events: interest.bits(),
+            events,
             data: token,
         };
         // SAFETY: `ev` is a live, correctly-laid-out epoll_event for the
@@ -145,7 +184,7 @@ impl Poller {
     ///
     /// The raw `epoll_ctl` error (e.g. the fd is already registered).
     pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest.bits())
     }
 
     /// Changes the interest set of an already-registered `fd`.
@@ -154,7 +193,25 @@ impl Poller {
     ///
     /// The raw `epoll_ctl` error.
     pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest.bits())
+    }
+
+    /// Arms `fd` for a single event: the first readiness (or error)
+    /// reported under `token` disarms it until the next call. `first`
+    /// adds the descriptor to the interest list; later calls re-arm it.
+    ///
+    /// # Errors
+    ///
+    /// The raw `epoll_ctl` error.
+    pub fn arm_once(
+        &self,
+        fd: RawFd,
+        token: u64,
+        interest: Interest,
+        first: bool,
+    ) -> io::Result<()> {
+        let op = if first { EPOLL_CTL_ADD } else { EPOLL_CTL_MOD };
+        self.ctl(op, fd, token, interest.bits() | EPOLLONESHOT)
     }
 
     /// Stops watching `fd`. Safe to call for an fd about to be closed.
@@ -182,8 +239,9 @@ impl Poller {
         const MAX_EVENTS: usize = 256;
         let mut raw = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
         let timeout_ms: c_int = match timeout {
-            // Round up so a 100µs deadline does not become a busy loop.
-            Some(d) => d.as_millis().min(i32::MAX as u128).max(1) as c_int,
+            // Round up so a 100µs deadline does not become a busy loop (and
+            // a timer never fires early); zero polls without blocking.
+            Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as c_int,
             None => -1,
         };
         let n = loop {
@@ -267,6 +325,66 @@ pub fn drain_waker(rx: &UnixStream) {
             Ok(_) => continue, // keep draining queued wakes
             Err(_) => break,   // WouldBlock: drained
         }
+    }
+}
+
+/// Starts a TCP connect to `addr` without blocking. The returned stream
+/// is nonblocking and usually still connecting: wait for it to become
+/// writable, then [`TcpStream::take_error`] tells success from failure.
+///
+/// # Errors
+///
+/// Socket creation failure, or a connect that failed immediately.
+pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+    let family = match addr {
+        SocketAddr::V4(_) => AF_INET,
+        SocketAddr::V6(_) => AF_INET6,
+    };
+    // SAFETY: plain syscall, no pointers involved.
+    let fd = cvt(unsafe { socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
+    // SAFETY: `fd` is a freshly created socket owned by nothing else; the
+    // stream takes ownership and closes it on every exit path below.
+    let stream = unsafe { TcpStream::from_raw_fd(fd) };
+    let ret = match addr {
+        SocketAddr::V4(a) => {
+            let sa = SockAddrV4 {
+                family: AF_INET as u16,
+                port: a.port().to_be(),
+                addr: a.ip().octets(),
+                zero: [0; 8],
+            };
+            // SAFETY: `sa` is a live, correctly-laid-out sockaddr_in and
+            // the length passed is its size; the kernel copies it.
+            unsafe {
+                connect(
+                    fd,
+                    (&sa as *const SockAddrV4).cast(),
+                    size_of::<SockAddrV4>() as u32,
+                )
+            }
+        }
+        SocketAddr::V6(a) => {
+            let sa = SockAddrV6 {
+                family: AF_INET6 as u16,
+                port: a.port().to_be(),
+                flowinfo: a.flowinfo().to_be(),
+                addr: a.ip().octets(),
+                scope_id: a.scope_id(),
+            };
+            // SAFETY: as above, for sockaddr_in6.
+            unsafe {
+                connect(
+                    fd,
+                    (&sa as *const SockAddrV6).cast(),
+                    size_of::<SockAddrV6>() as u32,
+                )
+            }
+        }
+    };
+    match cvt(ret) {
+        Ok(_) => Ok(stream),
+        Err(e) if e.raw_os_error() == Some(EINPROGRESS) => Ok(stream),
+        Err(e) => Err(e),
     }
 }
 
@@ -364,6 +482,58 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert!(events.is_empty(), "drained waker must go quiet");
+    }
+
+    #[test]
+    fn nonblocking_connect_completes_or_reports_refusal() {
+        let poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        // A listening peer: the connect completes and the socket turns
+        // writable with no pending error.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = connect_nonblocking(listener.local_addr().unwrap()).unwrap();
+        poller
+            .arm_once(stream.as_raw_fd(), 9, Interest::WRITE, true)
+            .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 9 && e.writable));
+        assert!(stream.take_error().unwrap().is_none());
+        let (_accepted, peer) = listener.accept().unwrap();
+        assert_eq!(peer, stream.local_addr().unwrap());
+        // One-shot: the fired socket stays quiet until re-armed.
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(events.is_empty(), "a one-shot arm fires once");
+        poller
+            .arm_once(stream.as_raw_fd(), 9, Interest::WRITE, false)
+            .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 9 && e.writable));
+        // Nobody listening: the socket reports an error, and the refusal
+        // surfaces through take_error (or the connect call itself).
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        match connect_nonblocking(dead) {
+            Ok(stream) => {
+                poller
+                    .arm_once(stream.as_raw_fd(), 10, Interest::WRITE, true)
+                    .unwrap();
+                poller
+                    .wait(&mut events, Some(Duration::from_secs(5)))
+                    .unwrap();
+                assert!(events.iter().any(|e| e.token == 10 && e.error));
+                let err = stream.take_error().unwrap().expect("refused");
+                assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+            }
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionRefused),
+        }
     }
 
     #[test]

@@ -1,87 +1,75 @@
-//! The sharded-reactor serving loop.
+//! The sharded-reactor serving loop and the executor its requests run on.
 //!
-//! Connection lifecycle used to live on a thread stack: one blocking
-//! thread per socket, torn down whenever `read_frame` returned. That
-//! model leaked serving threads on shutdown (only the accept thread was
-//! joined), spent a kernel thread per idle pooled connection, and capped
-//! the closed-loop exchange rate on context switches. Here the lifecycle
-//! is explicit state instead:
+//! Connection lifecycle is explicit state, not a thread stack:
 //!
 //! * **Shards.** N event-loop threads, each with its own [`Poller`]
-//!   (level-triggered epoll) and an owned set of nonblocking
-//!   connections. The listener lives on shard 0; accepted sockets are
-//!   handed out round-robin. Shards never block on anything but
-//!   `epoll_wait` — a cross-thread [`Mailbox`] plus waker delivers new
-//!   connections and completed responses.
+//!   (epoll) and an owned set of nonblocking connections. The listener
+//!   lives on shard 0; accepted sockets are handed out round-robin through
+//!   a cross-thread [`Mailbox`] plus wake pipe. A shard never blocks on
+//!   anything but `epoll_wait`, and a node runs no thread but its shards.
 //! * **Connections.** Each [`Conn`] owns a resumable [`FrameDecoder`]
 //!   (reads may deliver half a length prefix or ten pipelined frames)
 //!   and an outgoing byte buffer flushed as far as the socket allows,
 //!   with `EPOLLOUT` interest registered only while bytes remain.
-//! * **Fast/slow split.** The [`Service`] classifies each decoded
-//!   request: fast requests (directory lookups, local gets, stats —
-//!   anything that never issues a peer RPC) are handled inline on the
-//!   shard; slow requests (cooperative serves, puts, update fan-out)
-//!   are dispatched to a small worker pool so a blocking peer RPC can
-//!   never stall every connection on a shard. Two lanes keep the pool
-//!   deadlock-free: `Store` jobs (puts) only ever wait on fast remote
-//!   operations, and `Serve` jobs wait on fast operations or `Store`
-//!   jobs — the dependency graph is acyclic, so a bounded pool always
-//!   makes progress.
-//! * **Ordering.** One dispatched request may be outstanding per
-//!   connection (`busy`); further frames wait in the decoder. Because
-//!   epoll is level-triggered on the *socket*, bytes already sitting in
-//!   the decoder produce no event — the completion path re-drains the
-//!   decoder explicitly before re-arming read interest.
+//! * **Tasks.** Every decoded request becomes a task — the future
+//!   [`Service::call`] returns — polled on the shard that decoded it. A
+//!   handler that never waits on a peer completes in that first poll and
+//!   its response goes straight to the write buffer. A handler that needs
+//!   peers awaits nonblocking calls ([`ShardIo::call`]) on connections the
+//!   shard owns; while it is parked the shard keeps serving every other
+//!   connection, and a socket event or a timer wakes it again. Nothing
+//!   ever blocks a shard on a peer, so two nodes waiting on each other
+//!   (an `Update` whose `Put` makes its target register back at the
+//!   sender) always make progress: there is no pool to exhaust.
+//! * **Ordering.** At most one task is pending per connection (`busy`);
+//!   further frames wait in the decoder. Because client sockets are
+//!   level-triggered, bytes already sitting in the decoder produce no
+//!   event — completion re-drains the decoder explicitly before re-arming
+//!   read interest.
 //! * **Shutdown.** `shutdown` stops the listener, closes idle
-//!   connections immediately, lets busy connections finish their
-//!   in-flight request and flush the response, and only then joins the
-//!   shard and worker threads — nothing outlives the node, and no
-//!   started request loses its response.
+//!   connections immediately, lets pending tasks finish and flush their
+//!   responses (up to [`DRAIN_DEADLINE`]), and only then joins the shard
+//!   threads — nothing outlives the node, and no started request loses
+//!   its response.
+//!
+//! The executor is std-only: one ready queue and one timer heap per
+//! shard, [`std::task::Wake`] wakers that push a task's token onto the
+//! ready queue, and one-shot socket arming for parked peer calls.
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::future::Future;
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
+use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
-use crate::poller::{drain_waker, waker_pair, Interest, PollEvent, PollableFd, Poller, Waker};
-use crate::wire::{frame_response, FrameDecoder, Request, Response};
+use cachecloud_types::CacheCloudError;
 
-/// Which worker lane a dispatched request runs on. `Store` jobs must
-/// never wait on another slow request; `Serve` jobs may wait on `Store`
-/// jobs. Keeping the lanes separate is what makes the bounded pool
-/// deadlock-free under cross-node fan-out (an `Update` on node A blocks
-/// on `Put`s at node B; those `Put`s always find a free `Store` worker).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Lane {
-    /// Cooperative serves, update fan-out, range migration.
-    Serve,
-    /// Document stores.
-    Store,
-}
+use crate::conn::peer_err;
+use crate::poller::{
+    connect_nonblocking, drain_waker, waker_pair, Interest, PollEvent, PollableFd, Poller,
+    Waker as WakePipe,
+};
+use crate::sync::Mutex;
+use crate::wire::{frame_request, frame_response, FrameDecoder, Request, Response};
 
-/// The shard's verdict on one decoded request.
-pub(crate) enum Inline {
-    /// Handled on the shard; the response goes straight to the write
-    /// buffer.
-    Done(Response),
-    /// Needs a worker: the request may block on peer RPCs.
-    Dispatch(Lane, Request),
-}
+/// One request in flight on a shard: the handler's future.
+pub(crate) type Task = Pin<Box<dyn Future<Output = Response>>>;
 
 /// What the reactor serves. Implemented by the cache node; kept as a
 /// trait so the reactor's connection machinery is testable in isolation.
 pub(crate) trait Service: Send + Sync + 'static {
-    /// Classifies and, for fast requests, handles `req` on the shard
-    /// thread. Must not block on I/O in the `Inline::Done` path.
-    fn inline(&self, req: Request) -> Inline;
-
-    /// Handles a dispatched request on a worker thread. May block on
-    /// peer RPCs.
-    fn call(&self, req: Request) -> Response;
+    /// Starts handling `req` on the shard owning `io`. The task is polled
+    /// at once; one that needs no peer completes in that first poll.
+    fn call(&self, req: Request, io: &Rc<ShardIo>) -> Task;
 
     /// Observes a failed `accept` (telemetry).
     fn accept_error(&self, err: &io::Error) {
@@ -94,22 +82,13 @@ pub(crate) trait Service: Send + Sync + 'static {
 pub(crate) struct ServerOptions {
     /// Event-loop shard count (0 = one per available core, capped at 4).
     pub shards: usize,
-    /// `Serve`-lane worker threads.
-    pub serve_workers: usize,
-    /// `Store`-lane worker threads.
-    pub store_workers: usize,
     /// Thread-name prefix, e.g. `ccnode-3`.
     pub name: String,
 }
 
 impl ServerOptions {
     pub(crate) fn named(name: String) -> Self {
-        ServerOptions {
-            shards: 0,
-            serve_workers: 4,
-            store_workers: 2,
-            name,
-        }
+        ServerOptions { shards: 0, name }
     }
 
     fn resolved_shards(&self) -> usize {
@@ -126,11 +105,13 @@ impl ServerOptions {
 const TOK_LISTENER: u64 = 0;
 const TOK_WAKER: u64 = 1;
 const TOK_FIRST_CONN: u64 = 2;
+/// Peer (outgoing) sockets are registered under tokens with this bit set,
+/// so one poller serves both kinds without the token spaces colliding.
+const TOK_PEER: u64 = 1 << 63;
 
-/// How long a shard keeps waiting for busy connections to finish their
-/// in-flight request during shutdown. In practice drains complete in
-/// one RPC deadline (~hundreds of ms); this only bounds a pathological
-/// worker stall.
+/// How long a shard keeps waiting for pending tasks to finish during
+/// shutdown. In practice drains complete within one RPC deadline; this
+/// only bounds a pathological stall.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Pause after fd exhaustion before accepting again. Spinning on a
@@ -143,99 +124,434 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// for the connection until the socket drains (backpressure).
 const MAX_PENDING_OUT: usize = 1 << 20;
 
-/// One slow request in flight to the worker pool.
-struct Job {
-    shard: usize,
-    token: u64,
-    req: Request,
-}
+/// Idle peer connections a shard keeps per peer (beyond this, finished
+/// connections are closed instead of pooled).
+const MAX_IDLE_PER_PEER: usize = 8;
 
-/// A two-state blocking queue feeding one worker lane.
-struct JobQueue {
-    inner: Mutex<(VecDeque<Job>, bool)>,
-    cv: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        JobQueue {
-            inner: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a job; `false` once the queue is closed.
-    fn push(&self, job: Job) -> bool {
-        let mut g = self.inner.lock().unwrap();
-        if g.1 {
-            return false;
-        }
-        g.0.push_back(job);
-        drop(g);
-        self.cv.notify_one();
-        true
-    }
-
-    /// Blocks for the next job; `None` once closed **and** empty, so
-    /// already-queued work is always finished before workers exit.
-    fn pop(&self) -> Option<Job> {
-        let mut g = self.inner.lock().unwrap();
-        loop {
-            if let Some(job) = g.0.pop_front() {
-                return Some(job);
-            }
-            if g.1 {
-                return None;
-            }
-            g = self.cv.wait(g).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().unwrap().1 = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Cross-thread deliveries into one shard: freshly accepted sockets
-/// (from shard 0) and completed responses (from workers). Push, then
-/// wake.
+/// Cross-thread deliveries into one shard: freshly accepted sockets (from
+/// shard 0) and the tokens of woken tasks. Push, then wake.
 struct Mailbox {
-    waker: Waker,
-    inbox: Mutex<MailboxInner>,
-}
-
-#[derive(Default)]
-struct MailboxInner {
-    conns: Vec<TcpStream>,
-    done: Vec<(u64, Response)>,
+    pipe: WakePipe,
+    conns: Mutex<Vec<TcpStream>>,
+    woken: Mutex<Vec<u64>>,
+    /// The shard's thread: wakes raised on it need no wake-pipe write,
+    /// because the shard drains its ready queue before it polls again.
+    thread: OnceLock<ThreadId>,
 }
 
 impl Mailbox {
     fn push_conn(&self, stream: TcpStream) {
-        self.inbox.lock().unwrap().conns.push(stream);
-        self.waker.wake();
+        self.conns.lock().push(stream);
+        self.pipe.wake();
     }
 
-    fn push_done(&self, token: u64, resp: Response) {
-        self.inbox.lock().unwrap().done.push((token, resp));
-        self.waker.wake();
-    }
-
-    fn take(&self) -> MailboxInner {
-        std::mem::take(&mut *self.inbox.lock().unwrap())
+    fn push_woken(&self, token: u64) {
+        self.woken.lock().push(token);
+        if self.thread.get() != Some(&std::thread::current().id()) {
+            self.pipe.wake();
+        }
     }
 }
 
-/// One nonblocking connection owned by a shard.
+/// The waker of the task pending on connection `token`.
+struct TaskWake {
+    token: u64,
+    mailbox: Arc<Mailbox>,
+}
+
+impl Wake for TaskWake {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.mailbox.push_woken(self.token);
+    }
+}
+
+/// Pending timers of one shard: a min-heap of deadlines plus the wakers
+/// of the timers still live. A cancelled timer leaves its heap entry
+/// behind; it is skipped when it surfaces.
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<(Instant, u64)>>,
+    live: HashMap<u64, Waker>,
+    next_id: u64,
+}
+
+impl Timers {
+    fn add(&mut self, at: Instant, waker: Waker) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.heap.push(Reverse((at, id)));
+        self.live.insert(id, waker);
+        id
+    }
+
+    fn cancel(&mut self, id: u64) {
+        self.live.remove(&id);
+    }
+
+    /// The earliest live deadline, discarding cancelled entries on top.
+    fn next_deadline(&mut self) -> Option<Instant> {
+        while let Some(Reverse((at, id))) = self.heap.peek().copied() {
+            if self.live.contains_key(&id) {
+                return Some(at);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Removes and returns the wakers of every timer due by `now`.
+    fn take_due(&mut self, now: Instant) -> Vec<Waker> {
+        let mut due = Vec::new();
+        while let Some(Reverse((at, id))) = self.heap.peek().copied() {
+            if at > now {
+                break;
+            }
+            self.heap.pop();
+            due.extend(self.live.remove(&id));
+        }
+        due
+    }
+}
+
+/// One outgoing connection to a peer, owned by a shard.
+struct PeerConn {
+    stream: TcpStream,
+    token: u64,
+    /// Whether the socket is in the poller's interest list yet.
+    registered: bool,
+    /// Reusable request scratch.
+    wbuf: Vec<u8>,
+    decoder: FrameDecoder,
+}
+
+/// The shard-local half of the executor that tasks see: socket
+/// readiness, timers and the shard's peer connections.
+pub(crate) struct ShardIo {
+    poller: Poller,
+    /// Tasks parked on a peer socket, by poller token.
+    parked: RefCell<HashMap<u64, Waker>>,
+    timers: RefCell<Timers>,
+    next_peer_token: Cell<u64>,
+    /// Idle peer connections, reused only after a fully successful
+    /// exchange (the [`crate::ConnectionPool`] contract).
+    idle: RefCell<HashMap<SocketAddr, Vec<PeerConn>>>,
+}
+
+impl ShardIo {
+    fn new(poller: Poller) -> Self {
+        ShardIo {
+            poller,
+            parked: RefCell::new(HashMap::new()),
+            timers: RefCell::new(Timers::default()),
+            next_peer_token: Cell::new(TOK_PEER),
+            idle: RefCell::new(HashMap::new()),
+        }
+    }
+
+    /// Completes after `d`.
+    pub(crate) fn sleep(&self, d: Duration) -> Sleep<'_> {
+        Sleep {
+            io: self,
+            at: Instant::now() + d,
+            timer: None,
+        }
+    }
+
+    /// One request/response exchange with `addr`, bounded by `budget`
+    /// from connect to the last response byte. With `reuse`, an idle
+    /// connection is taken when one exists and the connection is pooled
+    /// again after a fully successful exchange; any failure discards it.
+    /// Without, every call connects afresh.
+    pub(crate) async fn call(
+        &self,
+        addr: SocketAddr,
+        req: &Request,
+        budget: Duration,
+        reuse: bool,
+    ) -> Result<Response, CacheCloudError> {
+        let deadline = Instant::now() + budget;
+        let pooled = if reuse {
+            self.idle.borrow_mut().get_mut(&addr).and_then(Vec::pop)
+        } else {
+            None
+        };
+        let mut conn = match pooled {
+            Some(conn) => conn,
+            None => self
+                .connect(addr, deadline)
+                .await
+                .map_err(|e| peer_err(addr, &e))?,
+        };
+        let resp = self
+            .exchange(&mut conn, req, deadline)
+            .await
+            .map_err(|e| peer_err(addr, &e))?;
+        if reuse {
+            let mut idle = self.idle.borrow_mut();
+            let list = idle.entry(addr).or_default();
+            if list.len() < MAX_IDLE_PER_PEER {
+                list.push(conn);
+            }
+        }
+        Ok(resp)
+    }
+
+    async fn connect(
+        &self,
+        addr: SocketAddr,
+        deadline: Instant,
+    ) -> Result<PeerConn, CacheCloudError> {
+        let stream = connect_nonblocking(addr)?;
+        let token = self.next_peer_token.get();
+        self.next_peer_token.set(token + 1);
+        let mut conn = PeerConn {
+            stream,
+            token,
+            registered: false,
+            wbuf: Vec::new(),
+            decoder: FrameDecoder::new(),
+        };
+        self.ready(&mut conn, Interest::WRITE, deadline).await?;
+        if let Some(e) = conn.stream.take_error()? {
+            return Err(e.into());
+        }
+        // Small frames must not sit in Nagle's buffer.
+        let _ = conn.stream.set_nodelay(true);
+        Ok(conn)
+    }
+
+    async fn exchange(
+        &self,
+        conn: &mut PeerConn,
+        req: &Request,
+        deadline: Instant,
+    ) -> Result<Response, CacheCloudError> {
+        conn.wbuf.clear();
+        frame_request(&mut conn.wbuf, req)?;
+        let mut pos = 0;
+        while pos < conn.wbuf.len() {
+            match (&conn.stream).write(&conn.wbuf[pos..]) {
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+                Ok(n) => pos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.ready(conn, Interest::WRITE, deadline).await?;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        loop {
+            if let Some(frame) = conn.decoder.next_frame()? {
+                return Response::decode(frame);
+            }
+            match conn.decoder.read_from(&mut &conn.stream) {
+                Ok(0) => {
+                    return Err(CacheCloudError::Protocol(if conn.decoder.is_mid_frame() {
+                        "connection closed mid-response".into()
+                    } else {
+                        "connection closed before response".into()
+                    }))
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.ready(conn, Interest::READ, deadline).await?;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Parks until `conn` reports `interest` (or an error), failing once
+    /// `deadline` passes.
+    async fn ready(
+        &self,
+        conn: &mut PeerConn,
+        interest: Interest,
+        deadline: Instant,
+    ) -> Result<(), CacheCloudError> {
+        Readiness {
+            io: self,
+            fd: conn.stream.as_raw_fd(),
+            token: conn.token,
+            registered: &mut conn.registered,
+            interest,
+            deadline,
+            armed: false,
+            timer: None,
+        }
+        .await
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::TimedOut => CacheCloudError::Io("no reply in time".into()),
+            _ => e.into(),
+        })
+    }
+
+    /// Wakes the task parked on peer socket `token`.
+    fn on_peer_event(&self, token: u64) {
+        let waker = self.parked.borrow_mut().remove(&token);
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+    }
+}
+
+/// A timer future: see [`ShardIo::sleep`].
+pub(crate) struct Sleep<'a> {
+    io: &'a ShardIo,
+    at: Instant,
+    timer: Option<u64>,
+}
+
+impl Future for Sleep<'_> {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if Instant::now() >= self.at {
+            return Poll::Ready(());
+        }
+        if self.timer.is_none() {
+            let id = self.io.timers.borrow_mut().add(self.at, cx.waker().clone());
+            self.timer = Some(id);
+        }
+        Poll::Pending
+    }
+}
+
+impl Drop for Sleep<'_> {
+    fn drop(&mut self) {
+        if let Some(id) = self.timer {
+            self.io.timers.borrow_mut().cancel(id);
+        }
+    }
+}
+
+/// Waits for one readiness event on a peer socket; fails with
+/// `TimedOut` once the deadline passes.
+struct Readiness<'a> {
+    io: &'a ShardIo,
+    fd: i32,
+    token: u64,
+    /// The connection's "in the interest list" flag: the first arming
+    /// adds the socket, later ones re-arm it.
+    registered: &'a mut bool,
+    interest: Interest,
+    deadline: Instant,
+    armed: bool,
+    timer: Option<u64>,
+}
+
+impl Future for Readiness<'_> {
+    type Output = io::Result<()>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<io::Result<()>> {
+        let this = &mut *self;
+        if this.armed && !this.io.parked.borrow().contains_key(&this.token) {
+            this.armed = false;
+            return Poll::Ready(Ok(())); // the event fired
+        }
+        if Instant::now() >= this.deadline {
+            return Poll::Ready(Err(io::ErrorKind::TimedOut.into()));
+        }
+        if !this.armed {
+            let first = !*this.registered;
+            if let Err(e) = this
+                .io
+                .poller
+                .arm_once(this.fd, this.token, this.interest, first)
+            {
+                return Poll::Ready(Err(e));
+            }
+            *this.registered = true;
+            this.armed = true;
+            this.io
+                .parked
+                .borrow_mut()
+                .insert(this.token, cx.waker().clone());
+        }
+        if this.timer.is_none() {
+            let id = this
+                .io
+                .timers
+                .borrow_mut()
+                .add(this.deadline, cx.waker().clone());
+            this.timer = Some(id);
+        }
+        Poll::Pending
+    }
+}
+
+impl Drop for Readiness<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.io.parked.borrow_mut().remove(&self.token);
+        }
+        if let Some(id) = self.timer {
+            self.io.timers.borrow_mut().cancel(id);
+        }
+    }
+}
+
+/// Runs every future to completion concurrently and returns their outputs
+/// in order. Independent peer calls of one request go out together this
+/// way and are awaited together.
+pub(crate) fn join_all<F: Future>(futures: impl IntoIterator<Item = F>) -> JoinAll<F> {
+    let futures: Vec<_> = futures.into_iter().map(|f| Some(Box::pin(f))).collect();
+    let done = futures.iter().map(|_| None).collect();
+    JoinAll { futures, done }
+}
+
+/// See [`join_all`].
+pub(crate) struct JoinAll<F: Future> {
+    futures: Vec<Option<Pin<Box<F>>>>,
+    done: Vec<Option<F::Output>>,
+}
+
+// Every future is boxed, so moving the set never moves a future.
+impl<F: Future> Unpin for JoinAll<F> {}
+
+impl<F: Future> Future for JoinAll<F> {
+    type Output = Vec<F::Output>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<F::Output>> {
+        let this = &mut *self;
+        let mut pending = false;
+        for (slot, out) in this.futures.iter_mut().zip(&mut this.done) {
+            if let Some(f) = slot {
+                match f.as_mut().poll(cx) {
+                    Poll::Ready(v) => {
+                        *out = Some(v);
+                        *slot = None;
+                    }
+                    Poll::Pending => pending = true,
+                }
+            }
+        }
+        if pending {
+            return Poll::Pending;
+        }
+        Poll::Ready(
+            this.done
+                .drain(..)
+                .map(|v| v.expect("every future completed"))
+                .collect(),
+        )
+    }
+}
+
+/// One nonblocking client connection owned by a shard.
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
     /// Pending outgoing bytes; `[out_pos..]` is still unwritten.
     out: Vec<u8>,
     out_pos: usize,
-    /// A dispatched request is in flight on a worker; reads are paused
-    /// and further decoded frames wait in the decoder.
+    /// A task is pending for this connection; reads are paused and
+    /// further decoded frames wait in the decoder.
     busy: bool,
     /// The peer half-closed (or fully closed) its sending side.
     read_closed: bool,
@@ -243,22 +559,11 @@ struct Conn {
     dead: bool,
     /// The interest set currently registered with the poller.
     interest: Interest,
+    /// Wakes this connection's pending task.
+    waker: Waker,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            decoder: FrameDecoder::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            busy: false,
-            read_closed: false,
-            dead: false,
-            interest: Interest::READ,
-        }
-    }
-
     fn has_pending_out(&self) -> bool {
         self.out_pos < self.out.len()
     }
@@ -291,20 +596,22 @@ impl Conn {
     }
 }
 
-/// One event-loop thread: poller, owned connections, and (on shard 0)
-/// the listener.
+/// One event-loop thread: poller, owned connections and their tasks,
+/// and (on shard 0) the listener.
 struct Shard {
     id: usize,
     nshards: usize,
-    poller: Poller,
+    io: Rc<ShardIo>,
     waker_rx: UnixStream,
     listener: Option<TcpListener>,
     svc: Arc<dyn Service>,
     mailboxes: Arc<Vec<Arc<Mailbox>>>,
-    serve_q: Arc<JobQueue>,
-    store_q: Arc<JobQueue>,
     shutdown: Arc<AtomicBool>,
     conns: HashMap<u64, Conn>,
+    /// Pending tasks by connection token. A task outlives its connection
+    /// when the client goes away mid-request: it still runs to completion
+    /// and its response is discarded.
+    tasks: HashMap<u64, (Task, Waker)>,
     next_token: u64,
     next_shard: usize,
     accept_paused_until: Option<Instant>,
@@ -316,44 +623,52 @@ impl Shard {
         self.draining_since.is_some()
     }
 
+    fn mailbox(&self) -> &Mailbox {
+        &self.mailboxes[self.id]
+    }
+
     fn run(mut self) {
+        let _ = self.mailbox().thread.set(std::thread::current().id());
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
             let timeout = self.tick_timeout();
-            if self.poller.wait(&mut events, timeout).is_err() {
+            if self.io.poller.wait(&mut events, timeout).is_err() {
                 break; // EBADF/EINVAL: the poller itself is gone
-            }
-            if events.iter().any(|e| e.token == TOK_WAKER) {
-                drain_waker(&self.waker_rx);
             }
             if self.shutdown.load(Ordering::SeqCst) && !self.draining() {
                 self.begin_drain();
             }
-            self.process_mailbox();
-            let batch: Vec<PollEvent> = events
-                .iter()
-                .copied()
-                .filter(|e| e.token != TOK_WAKER)
-                .collect();
-            for ev in batch {
-                if ev.token == TOK_LISTENER {
-                    if !self.draining() && self.accept_paused_until.is_none() {
-                        self.on_accept();
+            for ev in events.iter().copied() {
+                match ev.token {
+                    TOK_WAKER => drain_waker(&self.waker_rx),
+                    TOK_LISTENER => {
+                        if !self.draining() && self.accept_paused_until.is_none() {
+                            self.on_accept();
+                        }
                     }
-                } else {
-                    self.on_conn_event(ev);
+                    t if t & TOK_PEER != 0 => self.io.on_peer_event(t),
+                    _ => self.on_conn_event(ev),
                 }
             }
+            let conns = std::mem::take(&mut *self.mailbox().conns.lock());
+            for stream in conns {
+                if !self.draining() {
+                    self.adopt(stream); // dropped while draining: no new work
+                }
+            }
+            let due = self.io.timers.borrow_mut().take_due(Instant::now());
+            due.into_iter().for_each(Waker::wake);
+            self.run_woken();
             self.maybe_resume_accept();
             if let Some(since) = self.draining_since {
-                if self.conns.is_empty() || since.elapsed() > DRAIN_DEADLINE {
+                let idle = self.conns.is_empty() && self.tasks.is_empty();
+                if idle || since.elapsed() > DRAIN_DEADLINE {
                     break;
                 }
             }
         }
         // Everything still open (drain deadline hit, poller failure) is
-        // force-closed by drop; workers with in-flight jobs will find the
-        // token gone and discard the completion.
+        // force-closed by drop, pending tasks included.
     }
 
     fn tick_timeout(&self) -> Option<Duration> {
@@ -365,36 +680,45 @@ impl Shard {
         if let Some(until) = self.accept_paused_until {
             cap(until.saturating_duration_since(Instant::now()));
         }
+        if let Some(at) = self.io.timers.borrow_mut().next_deadline() {
+            cap(at.saturating_duration_since(Instant::now()));
+        }
         if self.draining() {
             cap(Duration::from_millis(10));
         }
         t
     }
 
+    /// Polls every woken task until none is left awake.
+    fn run_woken(&mut self) {
+        loop {
+            let woken = std::mem::take(&mut *self.mailbox().woken.lock());
+            if woken.is_empty() {
+                return;
+            }
+            for token in woken {
+                let Some((task, waker)) = self.tasks.get_mut(&token) else {
+                    continue; // already finished: a stale wake
+                };
+                if let Poll::Ready(resp) = task.as_mut().poll(&mut Context::from_waker(waker)) {
+                    self.tasks.remove(&token);
+                    self.on_completion(token, resp);
+                }
+            }
+        }
+    }
+
     /// Stops the listener and closes every connection that has nothing
-    /// left to deliver. Busy connections stay until their in-flight
+    /// left to deliver. Busy connections stay until their pending
     /// response is written; no new frames are decoded for anyone.
     fn begin_drain(&mut self) {
         self.draining_since = Some(Instant::now());
         if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd());
+            let _ = self.io.poller.deregister(listener.as_raw_fd());
         }
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.settle(token);
-        }
-    }
-
-    fn process_mailbox(&mut self) {
-        let mail = self.mailboxes[self.id].take();
-        for stream in mail.conns {
-            if self.draining() {
-                continue; // dropped: refuse new work during shutdown
-            }
-            self.adopt(stream);
-        }
-        for (token, resp) in mail.done {
-            self.on_completion(token, resp);
         }
     }
 
@@ -404,15 +728,32 @@ impl Shard {
     fn adopt(&mut self, stream: TcpStream) {
         let token = self.next_token;
         self.next_token += 1;
-        let conn = Conn::new(stream);
         if self
+            .io
             .poller
-            .register(conn.stream.as_raw_fd(), token, Interest::READ)
+            .register(stream.as_raw_fd(), token, Interest::READ)
             .is_err()
         {
             return; // drop the stream; the client sees a reset
         }
-        self.conns.insert(token, conn);
+        let waker = Waker::from(Arc::new(TaskWake {
+            token,
+            mailbox: Arc::clone(&self.mailboxes[self.id]),
+        }));
+        self.conns.insert(
+            token,
+            Conn {
+                stream,
+                decoder: FrameDecoder::new(),
+                out: Vec::new(),
+                out_pos: 0,
+                busy: false,
+                read_closed: false,
+                dead: false,
+                interest: Interest::READ,
+                waker,
+            },
+        );
     }
 
     fn on_accept(&mut self) {
@@ -447,7 +788,7 @@ impl Shard {
                     // while level-triggered epoll keeps the listener
                     // readable — pause instead of spinning.
                     if matches!(e.raw_os_error(), Some(23) | Some(24)) {
-                        let _ = self.poller.deregister(listener.as_raw_fd());
+                        let _ = self.io.poller.deregister(listener.as_raw_fd());
                         self.accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
                         break;
                     }
@@ -468,6 +809,7 @@ impl Shard {
         self.accept_paused_until = None;
         if let Some(listener) = &self.listener {
             let _ = self
+                .io
                 .poller
                 .register(listener.as_raw_fd(), TOK_LISTENER, Interest::READ);
         }
@@ -478,7 +820,10 @@ impl Shard {
         let Some(conn) = self.conns.get_mut(&ev.token) else {
             return; // closed earlier in this batch
         };
-        if ev.error && !ev.readable {
+        // An error or hang-up while a task is pending: the response can
+        // never be delivered, and the level-triggered report would repeat
+        // until the task finishes. The task runs on, detached.
+        if ev.error && (conn.busy || !ev.readable) {
             conn.dead = true;
             self.settle(ev.token);
             return;
@@ -504,14 +849,10 @@ impl Shard {
         self.settle(ev.token);
     }
 
-    /// Decodes and executes buffered frames until the connection goes
-    /// busy, runs out of complete frames, or hits backpressure.
+    /// Decodes and starts buffered frames until the connection goes busy,
+    /// runs out of complete frames, or hits backpressure.
     fn drain_frames(&mut self, token: u64) {
         let draining = self.draining();
-        let shard_id = self.id;
-        let svc = Arc::clone(&self.svc);
-        let serve_q = Arc::clone(&self.serve_q);
-        let store_q = Arc::clone(&self.store_q);
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -528,46 +869,33 @@ impl Shard {
                     return;
                 }
             };
-            match Request::decode(frame) {
+            let req = match Request::decode(frame) {
+                Ok(req) => req,
                 Err(e) => {
-                    // Mirror the blocking server: a malformed request gets
-                    // an Error response and the connection lives on.
-                    let resp = Response::Error {
+                    // A malformed request gets an Error response and the
+                    // connection lives on.
+                    conn.enqueue_response(&Response::Error {
                         message: e.to_string(),
-                    };
-                    conn.enqueue_response(&resp);
+                    });
+                    continue;
                 }
-                Ok(req) => match svc.inline(req) {
-                    Inline::Done(resp) => conn.enqueue_response(&resp),
-                    Inline::Dispatch(lane, req) => {
-                        conn.busy = true;
-                        let job = Job {
-                            shard: shard_id,
-                            token,
-                            req,
-                        };
-                        let q = match lane {
-                            Lane::Serve => &serve_q,
-                            Lane::Store => &store_q,
-                        };
-                        if !q.push(job) {
-                            // Queue closed (shutdown raced us): no worker
-                            // will ever answer, so fail the connection
-                            // rather than leave it busy forever.
-                            conn.busy = false;
-                            conn.dead = true;
-                        }
-                        return;
-                    }
-                },
+            };
+            let mut task = self.svc.call(req, &self.io);
+            match task.as_mut().poll(&mut Context::from_waker(&conn.waker)) {
+                Poll::Ready(resp) => conn.enqueue_response(&resp),
+                Poll::Pending => {
+                    conn.busy = true;
+                    self.tasks.insert(token, (task, conn.waker.clone()));
+                    return;
+                }
             }
         }
     }
 
-    /// A worker finished this connection's in-flight request.
+    /// This connection's pending task finished.
     fn on_completion(&mut self, token: u64, resp: Response) {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return; // connection died while the worker ran
+            return; // connection died while the task ran
         };
         conn.busy = false;
         conn.enqueue_response(&resp);
@@ -592,7 +920,7 @@ impl Shard {
             conn.dead = true;
         }
         if conn.dead {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
+            let _ = self.io.poller.deregister(conn.stream.as_raw_fd());
             self.conns.remove(&token);
             return;
         }
@@ -602,11 +930,12 @@ impl Shard {
         };
         if desired != conn.interest {
             if self
+                .io
                 .poller
                 .modify(conn.stream.as_raw_fd(), token, desired)
                 .is_err()
             {
-                let _ = self.poller.deregister(conn.stream.as_raw_fd());
+                let _ = self.io.poller.deregister(conn.stream.as_raw_fd());
                 self.conns.remove(&token);
                 return;
             }
@@ -615,29 +944,18 @@ impl Shard {
     }
 }
 
-fn worker_loop(q: Arc<JobQueue>, svc: Arc<dyn Service>, mailboxes: Arc<Vec<Arc<Mailbox>>>) {
-    while let Some(job) = q.pop() {
-        let resp = svc.call(job.req);
-        mailboxes[job.shard].push_done(job.token, resp);
-    }
-}
-
-/// A running sharded-reactor server: shard threads, worker lanes, and
-/// the handles to drain them.
+/// A running sharded-reactor server: its shard threads and the handles
+/// to drain them.
 pub(crate) struct Server {
     shutdown: Arc<AtomicBool>,
     mailboxes: Arc<Vec<Arc<Mailbox>>>,
     shard_handles: Vec<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
-    serve_q: Arc<JobQueue>,
-    store_q: Arc<JobQueue>,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("shards", &self.shard_handles.len())
-            .field("workers", &self.worker_handles.len())
             .finish()
     }
 }
@@ -652,18 +970,18 @@ impl Server {
         listener.set_nonblocking(true)?;
         let nshards = opts.resolved_shards();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let serve_q = Arc::new(JobQueue::new());
-        let store_q = Arc::new(JobQueue::new());
 
         let mut mailboxes = Vec::with_capacity(nshards);
         let mut parts = Vec::with_capacity(nshards);
         for _ in 0..nshards {
             let poller = Poller::new()?;
-            let (waker, waker_rx) = waker_pair()?;
+            let (pipe, waker_rx) = waker_pair()?;
             poller.register(waker_rx.as_raw_fd(), TOK_WAKER, Interest::READ)?;
             mailboxes.push(Arc::new(Mailbox {
-                waker,
-                inbox: Mutex::new(MailboxInner::default()),
+                pipe,
+                conns: Mutex::new(Vec::new()),
+                woken: Mutex::new(Vec::new()),
+                thread: OnceLock::new(),
             }));
             parts.push((poller, waker_rx));
         }
@@ -677,71 +995,49 @@ impl Server {
             } else {
                 None
             };
-            let shard = Shard {
-                id,
-                nshards,
-                poller,
-                waker_rx,
-                listener,
-                svc: Arc::clone(&svc),
-                mailboxes: Arc::clone(&mailboxes),
-                serve_q: Arc::clone(&serve_q),
-                store_q: Arc::clone(&store_q),
-                shutdown: Arc::clone(&shutdown),
-                conns: HashMap::new(),
-                next_token: TOK_FIRST_CONN,
-                next_shard: 0,
-                accept_paused_until: None,
-                draining_since: None,
-            };
+            let svc = Arc::clone(&svc);
+            let mailboxes = Arc::clone(&mailboxes);
+            let shutdown = Arc::clone(&shutdown);
             let handle = std::thread::Builder::new()
                 .name(format!("{}-shard{id}", opts.name))
-                .spawn(move || shard.run())
+                .spawn(move || {
+                    Shard {
+                        id,
+                        nshards,
+                        io: Rc::new(ShardIo::new(poller)),
+                        waker_rx,
+                        listener,
+                        svc,
+                        mailboxes,
+                        shutdown,
+                        conns: HashMap::new(),
+                        tasks: HashMap::new(),
+                        next_token: TOK_FIRST_CONN,
+                        next_shard: 0,
+                        accept_paused_until: None,
+                        draining_since: None,
+                    }
+                    .run();
+                })
                 .map_err(|e| io::Error::other(e.to_string()))?;
             shard_handles.push(handle);
-        }
-
-        let mut worker_handles = Vec::new();
-        for (lane, q, count) in [
-            ("serve", &serve_q, opts.serve_workers.max(1)),
-            ("store", &store_q, opts.store_workers.max(1)),
-        ] {
-            for i in 0..count {
-                let q = Arc::clone(q);
-                let svc = Arc::clone(&svc);
-                let mailboxes = Arc::clone(&mailboxes);
-                let handle = std::thread::Builder::new()
-                    .name(format!("{}-{lane}{i}", opts.name))
-                    .spawn(move || worker_loop(q, svc, mailboxes))
-                    .map_err(|e| io::Error::other(e.to_string()))?;
-                worker_handles.push(handle);
-            }
         }
 
         Ok(Server {
             shutdown,
             mailboxes,
             shard_handles,
-            worker_handles,
-            serve_q,
-            store_q,
         })
     }
 
-    /// Drains and joins everything. Ordering matters: shards finish
-    /// in-flight responses (which requires live workers), then the
-    /// queues close, then workers exit. Idempotent.
+    /// Drains and joins every shard: pending tasks finish and flush their
+    /// responses first. Idempotent.
     pub(crate) fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for mb in self.mailboxes.iter() {
-            mb.waker.wake();
+            mb.pipe.wake();
         }
         for handle in self.shard_handles.drain(..) {
-            let _ = handle.join();
-        }
-        self.serve_q.close();
-        self.store_q.close();
-        for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
     }
@@ -757,47 +1053,54 @@ impl Drop for Server {
 mod tests {
     use super::*;
     use crate::wire::{frame_into, read_frame, write_frame, Bytes};
-    use std::net::SocketAddr;
 
-    /// Ping answers inline; `Serve` sleeps on a worker (Serve lane) and
-    /// echoes the url back as a document; `Put` runs on the Store lane.
-    struct SleepyEcho {
+    /// Ping answers in the first poll. `Serve` sleeps on a shard timer and
+    /// echoes the url back as a document. `Put` forwards a `Ping` to the
+    /// peer named by its body (an address string) and answers with the
+    /// peer's reply wrapped as a document, or `Error` when the call fails.
+    struct Echo {
         delay: Duration,
         accept_errors: std::sync::atomic::AtomicU64,
     }
 
-    impl SleepyEcho {
+    impl Echo {
         fn new(delay: Duration) -> Self {
-            SleepyEcho {
+            Echo {
                 delay,
                 accept_errors: std::sync::atomic::AtomicU64::new(0),
             }
         }
     }
 
-    impl Service for SleepyEcho {
-        fn inline(&self, req: Request) -> Inline {
-            match req {
-                Request::Serve { .. } => Inline::Dispatch(Lane::Serve, req),
-                Request::Put { .. } => Inline::Dispatch(Lane::Store, req),
-                Request::Ping => Inline::Done(Response::Pong),
-                _ => Inline::Done(Response::Ok),
-            }
-        }
-
-        fn call(&self, req: Request) -> Response {
-            std::thread::sleep(self.delay);
-            match req {
-                Request::Serve { url } => Response::Document {
-                    version: 1,
-                    body: Bytes::from(url.into_bytes()),
-                },
-                Request::Put { url, version, .. } => Response::Document {
-                    version,
-                    body: Bytes::from(url.into_bytes()),
-                },
-                _ => Response::Ok,
-            }
+    impl Service for Echo {
+        fn call(&self, req: Request, io: &Rc<ShardIo>) -> Task {
+            let io = Rc::clone(io);
+            let delay = self.delay;
+            Box::pin(async move {
+                match req {
+                    Request::Ping => Response::Pong,
+                    Request::Serve { url } => {
+                        io.sleep(delay).await;
+                        Response::Document {
+                            version: 1,
+                            body: Bytes::from(url.into_bytes()),
+                        }
+                    }
+                    Request::Put { url, version, body } => {
+                        let peer: SocketAddr = std::str::from_utf8(&body).unwrap().parse().unwrap();
+                        match io.call(peer, &Request::Ping, delay, true).await {
+                            Ok(_) => Response::Document {
+                                version,
+                                body: Bytes::from(url.into_bytes()),
+                            },
+                            Err(e) => Response::Error {
+                                message: e.to_string(),
+                            },
+                        }
+                    }
+                    _ => Response::Ok,
+                }
+            })
         }
 
         fn accept_error(&self, _err: &io::Error) {
@@ -810,7 +1113,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut opts = ServerOptions::named("echo-test".into());
         opts.shards = shards;
-        let server = Server::start(listener, Arc::new(SleepyEcho::new(delay)), opts).unwrap();
+        let server = Server::start(listener, Arc::new(Echo::new(delay)), opts).unwrap();
         (server, addr)
     }
 
@@ -821,7 +1124,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_and_dispatched_requests_roundtrip() {
+    fn inline_and_pending_requests_roundtrip() {
         let (mut server, addr) = start_echo(Duration::from_millis(1), 2);
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
@@ -898,11 +1201,8 @@ mod tests {
 
     #[test]
     fn shutdown_mid_request_still_delivers_the_response() {
-        // The connection-leak regression: under the threaded server a
-        // shutdown joined only the accept thread and in-flight serving
-        // threads raced teardown. The reactor must (a) complete the
-        // dispatched request and flush its response, and (b) have no
-        // serving thread outlive `shutdown()`.
+        // The reactor must (a) complete the pending task and flush its
+        // response, and (b) have no serving thread outlive `shutdown()`.
         let (mut server, addr) = start_echo(Duration::from_millis(120), 1);
         let mut stream = TcpStream::connect(addr).unwrap();
         write_frame(
@@ -913,7 +1213,7 @@ mod tests {
             .encode(),
         )
         .unwrap();
-        // Let the request reach the worker, then shut down around it.
+        // Let the request start, then shut down around it.
         std::thread::sleep(Duration::from_millis(30));
         let t0 = Instant::now();
         server.shutdown();
@@ -973,55 +1273,82 @@ mod tests {
         server.shutdown();
     }
 
+    /// A peer that accepts connections and never answers.
+    fn stalled_peer() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
+    }
+
+    fn put_via(peer: SocketAddr) -> Request {
+        Request::Put {
+            url: "/via".into(),
+            version: 7,
+            body: Bytes::from(peer.to_string().into_bytes()),
+        }
+    }
+
     #[test]
-    fn store_and_serve_lanes_run_concurrently() {
-        // A Store job must not queue behind Serve jobs: saturate the
-        // Serve lane with slow requests from several connections, then
-        // check a Put completes long before they do.
-        let (mut server, addr) = start_echo(Duration::from_millis(200), 1);
+    fn task_waiting_on_a_stalled_peer_does_not_delay_other_connections() {
+        // One shard. Eight connections each start a task whose peer call
+        // stalls for its whole 400 ms budget; meanwhile another connection
+        // on the same shard is answered at once, and so are peer calls to
+        // a live peer.
+        let budget = Duration::from_millis(400);
+        let (mut server, addr) = start_echo(budget, 1);
+        let (_held, stalled) = stalled_peer();
+        let (mut live, live_addr) = start_echo(budget, 1);
         let mut blockers: Vec<TcpStream> =
             (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        for (i, s) in blockers.iter_mut().enumerate() {
-            write_frame(
-                s,
-                &Request::Serve {
-                    url: format!("/b{i}"),
-                }
-                .encode(),
-            )
-            .unwrap();
+        for s in &mut blockers {
+            write_frame(s, &put_via(stalled).encode()).unwrap();
         }
         std::thread::sleep(Duration::from_millis(20));
-        let mut put = TcpStream::connect(addr).unwrap();
+        let mut other = TcpStream::connect(addr).unwrap();
         let t0 = Instant::now();
-        assert_eq!(
-            call(
-                &mut put,
-                &Request::Put {
-                    url: "/fastlane".into(),
-                    version: 7,
-                    body: Bytes::new(),
-                }
-            ),
-            Response::Document {
-                version: 7,
-                body: Bytes::from_static(b"/fastlane"),
-            }
-        );
-        // One Store job sleeps 200ms; the Serve backlog is 8×200ms on 4
-        // workers. Finishing well under the backlog proves lane isolation.
+        for _ in 0..20 {
+            assert_eq!(call(&mut other, &Request::Ping), Response::Pong);
+        }
         assert!(
-            t0.elapsed() < Duration::from_millis(450),
-            "Put waited on the Serve lane: {:?}",
+            matches!(
+                call(&mut other, &put_via(live_addr)),
+                Response::Document { version: 7, .. }
+            ),
+            "a peer call to a live peer completes"
+        );
+        assert!(
+            t0.elapsed() < Duration::from_millis(200),
+            "the stalled tasks held up the shard: {:?}",
             t0.elapsed()
         );
         for s in &mut blockers {
             let frame = read_frame(s).unwrap().expect("blocker response");
-            assert!(matches!(
-                Response::decode(frame).unwrap(),
-                Response::Document { .. }
-            ));
+            let resp = Response::decode(frame).unwrap();
+            assert!(
+                matches!(resp, Response::Error { ref message } if message.contains("in time")),
+                "the stalled call fails at its deadline: {resp:?}"
+            );
         }
+        server.shutdown();
+        live.shutdown();
+    }
+
+    #[test]
+    fn refused_peer_call_fails_fast_with_the_peer_named() {
+        let (mut server, addr) = start_echo(Duration::from_secs(2), 1);
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let t0 = Instant::now();
+        match call(&mut stream, &put_via(dead)) {
+            Response::Error { message } => {
+                assert!(message.contains(&dead.to_string()), "{message}")
+            }
+            other => panic!("expected an error, got {other:?}"),
+        }
+        assert!(t0.elapsed() < Duration::from_secs(1));
         server.shutdown();
     }
 
@@ -1042,5 +1369,19 @@ mod tests {
             }
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn timers_skip_cancelled_entries_and_fire_in_order() {
+        let waker = Waker::noop().clone();
+        let mut timers = Timers::default();
+        let t0 = Instant::now();
+        let a = timers.add(t0 + Duration::from_millis(5), waker.clone());
+        timers.add(t0 + Duration::from_millis(10), waker.clone());
+        timers.cancel(a);
+        assert_eq!(timers.next_deadline(), Some(t0 + Duration::from_millis(10)));
+        assert!(timers.take_due(t0 + Duration::from_millis(9)).is_empty());
+        assert_eq!(timers.take_due(t0 + Duration::from_millis(10)).len(), 1);
+        assert_eq!(timers.next_deadline(), None);
     }
 }

@@ -17,7 +17,7 @@
 //! monotone non-decreasing: level `a` starts at `base * 2^(a-1)`, which is
 //! at least level `a-1`'s maximum of `base * 2^(a-2) * (1 + jitter)`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cachecloud_net::unit_hash;
 use cachecloud_types::{CacheCloudError, Result};
@@ -147,6 +147,20 @@ impl RetryPolicy {
         out
     }
 
+    /// Starts tracking one request under this policy. [`RetryPolicy::run`]
+    /// drives it with blocking sleeps; the reactor's peer calls drive the
+    /// same state machine with timer awaits, so both share one schedule.
+    pub(crate) fn attempts(&self, lane: u64, what: &'static str) -> Attempts<'_> {
+        Attempts {
+            policy: self,
+            lane,
+            what,
+            start: Instant::now(),
+            report: RetryReport::default(),
+            last: None,
+        }
+    }
+
     /// Runs `op` under this policy. Each attempt receives the remaining
     /// time budget (to use as its socket timeout); failed attempts back
     /// off and retry until success, a spent attempt budget
@@ -158,46 +172,85 @@ impl RetryPolicy {
         what: &'static str,
         mut op: impl FnMut(Duration) -> Result<T>,
     ) -> (Result<T>, RetryReport) {
-        let deadline_ms = self.deadline.as_millis() as u64;
-        let start = std::time::Instant::now();
-        let mut report = RetryReport::default();
-        let mut last: Option<CacheCloudError> = None;
-        loop {
-            let Some(remaining) = self.deadline.checked_sub(start.elapsed()) else {
-                report.timed_out = true;
-                return (Err(CacheCloudError::Timeout { what, deadline_ms }), report);
+        let mut attempts = self.attempts(lane, what);
+        let out = loop {
+            let budget = match attempts.begin() {
+                Ok(budget) => budget,
+                Err(e) => break Err(e),
             };
-            if report.attempts >= self.max_attempts {
-                let last = last.expect("at least one attempt was made");
-                return (
-                    Err(CacheCloudError::Exhausted {
-                        attempts: report.attempts,
-                        last: Box::new(last),
-                    }),
-                    report,
-                );
+            match op(budget) {
+                Ok(v) => break Ok(v),
+                Err(e) => match attempts.fail(e) {
+                    Ok(pause) => std::thread::sleep(pause),
+                    Err(e) => break Err(e),
+                },
             }
-            if report.attempts > 0 {
-                report.retries += 1;
-            }
-            report.attempts += 1;
-            match op(remaining) {
-                Ok(v) => return (Ok(v), report),
-                Err(e) => last = Some(e),
-            }
-            if report.attempts < self.max_attempts {
-                let pause = self.backoff(lane, report.attempts);
-                let Some(remaining) = self.deadline.checked_sub(start.elapsed()) else {
-                    report.timed_out = true;
-                    return (Err(CacheCloudError::Timeout { what, deadline_ms }), report);
-                };
-                if pause >= remaining {
-                    // Sleeping past the deadline helps no one: fail now.
-                    report.timed_out = true;
-                    return (Err(CacheCloudError::Timeout { what, deadline_ms }), report);
-                }
-                std::thread::sleep(pause);
-            }
+        };
+        (out, attempts.report())
+    }
+}
+
+/// One request's progress through a [`RetryPolicy`]: call
+/// [`Attempts::begin`] before each attempt and [`Attempts::fail`] after a
+/// failed one, pausing for the duration `fail` returns.
+#[derive(Debug)]
+pub(crate) struct Attempts<'p> {
+    policy: &'p RetryPolicy,
+    lane: u64,
+    what: &'static str,
+    start: Instant,
+    report: RetryReport,
+    last: Option<CacheCloudError>,
+}
+
+impl Attempts<'_> {
+    /// Starts the next attempt, returning its time budget, or the final
+    /// error once either budget is spent.
+    pub(crate) fn begin(&mut self) -> Result<Duration> {
+        let Some(remaining) = self.policy.deadline.checked_sub(self.start.elapsed()) else {
+            return Err(self.timed_out());
+        };
+        if self.report.attempts >= self.policy.max_attempts {
+            let last = self.last.take().expect("at least one attempt was made");
+            return Err(CacheCloudError::Exhausted {
+                attempts: self.report.attempts,
+                last: Box::new(last),
+            });
+        }
+        if self.report.attempts > 0 {
+            self.report.retries += 1;
+        }
+        self.report.attempts += 1;
+        Ok(remaining)
+    }
+
+    /// Records a failed attempt. Returns the backoff pause before the next
+    /// one (zero once the attempt budget is spent, so the next
+    /// [`Attempts::begin`] reports exhaustion), or the final timeout when
+    /// the pause would outlast the deadline.
+    pub(crate) fn fail(&mut self, e: CacheCloudError) -> Result<Duration> {
+        self.last = Some(e);
+        if self.report.attempts >= self.policy.max_attempts {
+            return Ok(Duration::ZERO);
+        }
+        let pause = self.policy.backoff(self.lane, self.report.attempts);
+        match self.policy.deadline.checked_sub(self.start.elapsed()) {
+            // Sleeping past the deadline helps no one: fail now.
+            Some(remaining) if pause < remaining => Ok(pause),
+            _ => Err(self.timed_out()),
+        }
+    }
+
+    /// What the request has cost so far.
+    pub(crate) fn report(&self) -> RetryReport {
+        self.report
+    }
+
+    fn timed_out(&mut self) -> CacheCloudError {
+        self.report.timed_out = true;
+        CacheCloudError::Timeout {
+            what: self.what,
+            deadline_ms: self.policy.deadline.as_millis() as u64,
         }
     }
 }

@@ -116,6 +116,20 @@ pub enum Request {
         /// The sender's routing-table version (see [`Request::Register`]).
         table_version: u64,
     },
+    /// A cooperative miss at `requester`, sent to the document's beacon.
+    /// A beacon that holds a current copy, owns `url` under its own table
+    /// and is not behind the sender's `table_version` registers
+    /// `requester` as a holder and answers with the `Document` in the same
+    /// exchange. Otherwise it registers nothing and answers `Holders`, as
+    /// for a [`Request::Lookup`].
+    Fill {
+        /// Document URL.
+        url: String,
+        /// The node that missed and will store the copy.
+        requester: u32,
+        /// The requester's routing-table version.
+        table_version: u64,
+    },
 }
 
 /// A response from a cache node.
@@ -407,6 +421,16 @@ impl Request {
                 b.put_u8(14);
                 put_url_batch(b, urls, *holder, *table_version);
             }
+            Request::Fill {
+                url,
+                requester,
+                table_version,
+            } => {
+                b.put_u8(15);
+                put_str(b, url);
+                b.put_u32(*requester);
+                b.put_u64(*table_version);
+            }
         }
     }
 
@@ -491,6 +515,11 @@ impl Request {
                     table_version,
                 }
             }
+            15 => Request::Fill {
+                url: take_str(&mut buf)?,
+                requester: take_u32(&mut buf)?,
+                table_version: take_u64(&mut buf)?,
+            },
             t => {
                 return Err(CacheCloudError::Protocol(format!(
                     "unknown request tag {t}"
@@ -951,6 +980,52 @@ mod tests {
             holder: 1,
             table_version: u64::MAX,
         });
+        roundtrip_request(Request::Fill {
+            url: "/fill".into(),
+            requester: 3,
+            table_version: 5,
+        });
+        roundtrip_request(Request::Fill {
+            url: "/δ/unicode".into(),
+            requester: u32::MAX,
+            table_version: u64::MAX,
+        });
+    }
+
+    #[test]
+    fn fill_decode_rejects_truncation_and_garbage() {
+        let full = Request::Fill {
+            url: "/fill/me".into(),
+            requester: 2,
+            table_version: 9,
+        }
+        .encode();
+        // Every strict prefix must be rejected, never panic or mis-decode.
+        for cut in 1..full.len() {
+            assert!(
+                Request::decode(full.slice(0..cut)).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+        // Trailing garbage after a complete Fill body.
+        let mut buf = Vec::new();
+        buf.put_slice(&full);
+        buf.put_u8(0xEE);
+        assert!(Request::decode(Bytes::from(buf)).is_err());
+        // Invalid UTF-8 in the URL.
+        let mut buf = Vec::new();
+        buf.put_u8(15);
+        buf.put_u32(2);
+        buf.put_slice(&[0xFF, 0xFE]);
+        buf.put_u32(2);
+        buf.put_u64(9);
+        assert!(Request::decode(Bytes::from(buf)).is_err());
+        // A URL length prefix longer than the frame.
+        let mut buf = Vec::new();
+        buf.put_u8(15);
+        buf.put_u32(u32::MAX);
+        assert!(Request::decode(Bytes::from(buf)).is_err());
+        assert!(Request::decode(full).is_ok());
     }
 
     #[test]
@@ -1061,6 +1136,8 @@ mod tests {
         assert!(Response::decode(Bytes::from_static(&[99])).is_err());
         // Truncated string length.
         assert!(Request::decode(Bytes::from_static(&[1, 0, 0])).is_err());
+        // A Fill missing its requester and table version.
+        assert!(Request::decode(Bytes::from_static(&[15, 0, 0, 0, 1, b'x'])).is_err());
         // Length prefix longer than payload.
         assert!(Request::decode(Bytes::from_static(&[1, 0, 0, 0, 9, b'x'])).is_err());
         // Trailing garbage.

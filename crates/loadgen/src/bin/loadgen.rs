@@ -294,6 +294,29 @@ fn main() -> ExitCode {
                 ));
             }
         }
+        // Update fan-out and rebalance handoffs must land on a fault-free
+        // loopback run: a failed delivery leaves a holder stale, a failed
+        // handoff strands a directory record at its old beacon.
+        let passes = [
+            ("open", Some(&report.cluster)),
+            ("bounded", report.bounded.as_ref().map(|b| &b.cluster)),
+            ("hotspot", report.hotspot.as_ref().map(|h| &h.cluster)),
+        ];
+        for (pass, cluster) in passes {
+            let Some(c) = cluster else { continue };
+            if c.update_delivery_failures > 0 {
+                failures.push(format!(
+                    "{pass} pass left {} failed update deliveries",
+                    c.update_delivery_failures
+                ));
+            }
+            if c.handoff_failures > 0 {
+                failures.push(format!(
+                    "{pass} pass left {} failed directory handoffs",
+                    c.handoff_failures
+                ));
+            }
+        }
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("loadgen: smoke check failed: {f}");

@@ -932,6 +932,8 @@ fn scrape_cluster(client: &CloudClient, nodes: usize) -> Result<ClusterReport, C
         rpc_timeouts: total.counter("rpc_timeouts"),
         unregister_failures: total.counter("unregister_failures"),
         directory_reroutes: total.counter("directory_reroutes"),
+        update_delivery_failures: total.counter("update_delivery_failures"),
+        handoff_failures: total.counter("handoff_failures"),
         beacon_load_cov: loads.coefficient_of_variation(),
         per_node,
     })

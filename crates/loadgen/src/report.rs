@@ -61,6 +61,12 @@ pub struct ClusterReport {
     /// Directory requests that arrived at a node stamped with a stale
     /// routing table and were re-routed to the current beacon.
     pub directory_reroutes: u64,
+    /// Update deliveries a beacon could not complete (each one a holder
+    /// that may stay stale). Must be 0 on a fault-free run.
+    pub update_delivery_failures: u64,
+    /// Directory records a rebalance could not hand to their new beacon.
+    /// Must be 0 on a fault-free run.
+    pub handoff_failures: u64,
     /// Coefficient of variation of per-node beacon load (the paper's
     /// balance metric: lower is flatter).
     pub beacon_load_cov: f64,
@@ -440,6 +446,11 @@ fn write_cluster(w: &mut JsonWriter, c: &ClusterReport) {
     w.num("rpc_timeouts", c.rpc_timeouts as f64);
     w.num("unregister_failures", c.unregister_failures as f64);
     w.num("directory_reroutes", c.directory_reroutes as f64);
+    w.num(
+        "update_delivery_failures",
+        c.update_delivery_failures as f64,
+    );
+    w.num("handoff_failures", c.handoff_failures as f64);
     w.num("beacon_load_cov", c.beacon_load_cov);
     w.key("per_node");
     w.open_array();
@@ -533,6 +544,8 @@ mod tests {
                 rpc_errors: 0,
                 rpc_timeouts: 0,
                 unregister_failures: 0,
+                update_delivery_failures: 0,
+                handoff_failures: 0,
                 directory_reroutes: 0,
                 beacon_load_cov: 0.25,
                 per_node: vec![NodeBrief {
@@ -570,6 +583,8 @@ mod tests {
                     rpc_errors: 0,
                     rpc_timeouts: 0,
                     unregister_failures: 0,
+                    update_delivery_failures: 0,
+                    handoff_failures: 0,
                     directory_reroutes: 0,
                     beacon_load_cov: 0.3,
                     per_node: Vec::new(),
@@ -635,6 +650,8 @@ mod tests {
                     rpc_errors: 0,
                     rpc_timeouts: 0,
                     unregister_failures: 0,
+                    update_delivery_failures: 0,
+                    handoff_failures: 0,
                     directory_reroutes: 3,
                     beacon_load_cov: 0.4,
                     per_node: Vec::new(),
@@ -711,6 +728,8 @@ mod tests {
             "\"handoff_records\"",
             "\"unregister_failures\"",
             "\"directory_reroutes\"",
+            "\"update_delivery_failures\"",
+            "\"handoff_failures\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }

@@ -131,6 +131,14 @@ fn tiny_bench_produces_a_sane_report() {
         hotspot.cluster.unregister_failures, 0,
         "fault-free run must confirm every eviction deregistration"
     );
+    assert_eq!(
+        hotspot.cluster.update_delivery_failures, 0,
+        "fault-free run must deliver every update"
+    );
+    assert_eq!(
+        hotspot.cluster.handoff_failures, 0,
+        "fault-free run must hand off every directory record"
+    );
 
     // And the whole thing renders as JSON with the headline fields.
     let json = report.to_json();

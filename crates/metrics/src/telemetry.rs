@@ -107,11 +107,20 @@ pub enum EventKind {
     /// re-routed to the beacon that owns the URL under the current table
     /// (cluster only).
     DirectoryReroute,
+    /// A beacon answered a miss with its own copy and registered the
+    /// requester in the same exchange (cluster only).
+    BeaconFill,
+    /// An update could not be delivered to one registered holder, which
+    /// may stay stale (cluster only).
+    UpdateDeliveryFailure,
+    /// A directory record could not be handed to its new beacon during a
+    /// rebalance and stays at the old one (cluster only).
+    HandoffFailure,
 }
 
 impl EventKind {
     /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 27] = [
+    pub const ALL: [EventKind; 30] = [
         EventKind::Request,
         EventKind::LocalHit,
         EventKind::CloudHit,
@@ -139,6 +148,9 @@ impl EventKind {
         EventKind::AcceptError,
         EventKind::UnregisterFailure,
         EventKind::DirectoryReroute,
+        EventKind::BeaconFill,
+        EventKind::UpdateDeliveryFailure,
+        EventKind::HandoffFailure,
     ];
 
     /// Stable snake_case name, used as the counter key in a [`Registry`],
@@ -173,6 +185,9 @@ impl EventKind {
             EventKind::AcceptError => "accept_errors",
             EventKind::UnregisterFailure => "unregister_failures",
             EventKind::DirectoryReroute => "directory_reroutes",
+            EventKind::BeaconFill => "beacon_fills",
+            EventKind::UpdateDeliveryFailure => "update_delivery_failures",
+            EventKind::HandoffFailure => "handoff_failures",
         }
     }
 }

@@ -197,6 +197,11 @@ fn wire_requests_roundtrip() {
                 holder,
                 table_version: version,
             },
+            Request::Fill {
+                url: url.clone(),
+                requester: holder,
+                table_version: version,
+            },
             Request::Put {
                 url,
                 version,
