@@ -32,6 +32,17 @@ echo "==> chaos suite (pinned seeds, bounded)"
 CHAOS_SEEDS="11,23" timeout 300 \
   cargo test -q --offline --locked -p cachecloud-cluster --test chaos
 
+echo "==> pinned simulator outputs reproduce"
+# The medium-scale ablations are seeded, so their tables must match the
+# committed log exactly; only run times and output paths may differ.
+cargo run --offline --locked --release -q -p cachecloud-bench --bin figures -- \
+  ablation-consistent ablation-weights ablation-multicloud ablation-replacement \
+  ablation-failure ablation-consistency --scale medium \
+  --out target/figures-ablations >target/ablations_output.txt
+pinned='^\[(wrote .*|.* took .*)\]$'
+diff <(grep -Ev "$pinned" ablations_output.txt) \
+  <(grep -Ev "$pinned" target/ablations_output.txt)
+
 echo "==> smoke bench (pinned seed, bounded, throughput-gated)"
 # A small live benchmark against a loopback cluster: exits non-zero
 # unless traffic flowed, the deterministic schedule digest reproduced,

@@ -198,11 +198,9 @@ impl NodeTelemetry {
 /// Shared node state.
 #[derive(Debug)]
 struct State {
-    /// Document bodies (the `CacheStore` tracks metadata/eviction). Lock
-    /// order: `directory`, then `bodies`, then `store`.
-    bodies: Mutex<HashMap<String, Body>>,
-    /// Metadata store driving capacity and replacement.
-    store: Mutex<CacheStore>,
+    /// Resident copies: bodies and the store that bounds them, behind one
+    /// lock so the two never disagree.
+    resident: Mutex<Resident>,
     /// Beacon directory for the URL ranges this node currently owns.
     directory: Mutex<HashMap<String, DirEntry>>,
     /// The cloud's routing table (all nodes converge on the same one).
@@ -211,6 +209,15 @@ struct State {
     loads: Mutex<HashMap<(u32, u64), f64>>,
     /// Lifecycle counters, latency histograms and the event log.
     telemetry: NodeTelemetry,
+}
+
+/// A node's resident copies.
+#[derive(Debug)]
+struct Resident {
+    /// Bodies by URL, so a local hit needs no digest.
+    bodies: HashMap<String, Body>,
+    /// Metadata store driving capacity and replacement.
+    store: CacheStore,
 }
 
 /// One node's configuration and state, shared by its shards.
@@ -287,8 +294,10 @@ impl CacheNode {
         let addr = listener.local_addr()?;
         let table = RouteTable::initial(config.peers.len(), config.points_per_ring, config.irh_gen);
         let state = State {
-            bodies: Mutex::new(HashMap::new()),
-            store: Mutex::new(CacheStore::new(config.capacity, Box::new(LruPolicy::new()))),
+            resident: Mutex::new(Resident {
+                bodies: HashMap::new(),
+                store: CacheStore::new(config.capacity, Box::new(LruPolicy::new())),
+            }),
             directory: Mutex::new(HashMap::new()),
             table: RwLock::new(table),
             loads: Mutex::new(HashMap::new()),
@@ -366,7 +375,10 @@ async fn handle(node: Arc<Node>, req: Request, io: Rc<ShardIo>) -> Response {
                 .record(t0.elapsed().as_secs_f64() * 1e3);
             resp
         }
-        Request::Put { url, version, body } => node.store(io, url, version, body, false).await,
+        Request::Put { url, version, body } => {
+            let doc = DocId::from_url(&url);
+            node.store(io, url, &doc, version, body, false).await
+        }
         Request::Update { url, version, body } => node.update(io, url, version, body).await,
         Request::SetRanges { table } => node.set_ranges(io, table).await,
         Request::Register {
@@ -404,7 +416,7 @@ async fn handle(node: Arc<Node>, req: Request, io: Rc<ShardIo>) -> Response {
         Request::Ping => Response::Pong,
         Request::Stats => node.stats(),
         Request::Lookup { url } => {
-            node.note_beacon_load(&url);
+            node.note_beacon_load(&DocId::from_url(&url));
             node.holders_of(&url)
         }
         Request::Fill {
@@ -412,7 +424,7 @@ async fn handle(node: Arc<Node>, req: Request, io: Rc<ShardIo>) -> Response {
             requester,
             table_version,
         } => node.fill(url, requester, table_version),
-        Request::Get { url } => match node.state.bodies.lock().get(&url) {
+        Request::Get { url } => match node.state.resident.lock().bodies.get(&url) {
             Some(body) => Response::Document {
                 version: body.version,
                 body: body.data.clone(),
@@ -464,10 +476,9 @@ impl Node {
         self.config.capacity != ByteSize::UNLIMITED
     }
 
-    fn note_beacon_load(&self, url: &str) {
-        let doc = DocId::from_url(url);
+    fn note_beacon_load(&self, doc: &DocId) {
         let table = self.state.table.read();
-        let key = (table.ring_of(&doc) as u32, table.irh_of(&doc));
+        let key = (table.ring_of(doc) as u32, table.irh_of(doc));
         drop(table);
         *self.state.loads.lock().entry(key).or_insert(0.0) += 1.0;
     }
@@ -501,7 +512,7 @@ impl Node {
         Response::Stats {
             stats: NodeStats {
                 node: self.config.id,
-                resident: state.store.lock().len() as u64,
+                resident: state.resident.lock().store.len() as u64,
                 directory_records,
                 counters: state.telemetry.registry.snapshot_counters(),
                 histograms: state.telemetry.registry.snapshot_histograms(),
@@ -554,30 +565,34 @@ impl Node {
     /// hit also refreshes the document's recency; an unbounded store never
     /// picks a victim, so it skips that upkeep.
     fn read_local(&self, url: &str) -> Option<(u64, Bytes)> {
-        let bodies = self.state.bodies.lock();
+        let mut resident = self.state.resident.lock();
+        let Resident { bodies, store } = &mut *resident;
         let body = bodies.get(url)?;
         if self.bounded() {
-            self.state.store.lock().access(&body.doc, SimTime::ZERO);
+            store.access(&body.doc, SimTime::ZERO);
         }
         Some((body.version, body.data.clone()))
     }
 
     /// Installs a body unless a newer version is resident. The version
-    /// check, the store insert and the body swap happen under one `bodies`
-    /// lock, so racing puts (retries, late fills, concurrent fan-outs)
-    /// cannot regress a copy.
-    fn insert_local(&self, url: &str, version: u64, body: Bytes) -> Result<Insert, String> {
-        let mut bodies = self.state.bodies.lock();
-        let (doc, held) = match bodies.get(url) {
+    /// check, the store insert and the body swap happen under one lock, so
+    /// racing puts (retries, late fills, concurrent fan-outs) cannot
+    /// regress a copy.
+    fn insert_local(
+        &self,
+        url: &str,
+        doc: &DocId,
+        version: u64,
+        body: Bytes,
+    ) -> Result<Insert, String> {
+        let mut resident = self.state.resident.lock();
+        let Resident { bodies, store } = &mut *resident;
+        let held = match bodies.get(url) {
             Some(b) if b.version > version => return Ok(Insert::Stale),
-            Some(b) => (b.doc.clone(), true),
-            None => (DocId::from_url(url), false),
+            held => held.is_some(),
         };
         let size = ByteSize::from_bytes(body.len().max(1) as u64);
-        let evicted = self
-            .state
-            .store
-            .lock()
+        let evicted = store
             .insert(doc.clone(), size, Version(version), SimTime::ZERO)
             .map_err(|e| e.to_string())?;
         for victim in &evicted {
@@ -588,7 +603,7 @@ impl Node {
             Body {
                 version,
                 data: body,
-                doc,
+                doc: doc.clone(),
             },
         );
         Ok(Insert::Stored { held, evicted })
@@ -602,11 +617,12 @@ impl Node {
         &self,
         io: &ShardIo,
         url: String,
+        doc: &DocId,
         version: u64,
         body: Bytes,
         registered: bool,
     ) -> Response {
-        let (held, evicted) = match self.insert_local(&url, version, body) {
+        let (held, evicted) = match self.insert_local(&url, doc, version, body) {
             Ok(Insert::Stored { held, evicted }) => (held, evicted),
             // The resident copy is newer and already registered.
             Ok(Insert::Stale) => return Response::Ok,
@@ -629,7 +645,7 @@ impl Node {
                     .or_default()
                     .push(victim.url().to_owned());
             }
-            (t.beacon_of_url(&url), t.version)
+            (t.beacon_of(doc), t.version)
         };
         // Directory changes at this node itself apply at once; the rest
         // go out as one concurrent round of peer calls.
@@ -804,18 +820,20 @@ impl Node {
     /// before that snapshot (and receives the update), or this beacon
     /// sees the new version and fills only from a copy at least as new.
     fn fill(&self, url: String, requester: u32, table_version: u64) -> Response {
-        self.note_beacon_load(&url);
+        let doc = DocId::from_url(&url);
+        self.note_beacon_load(&doc);
         let owner = {
             let t = self.state.table.read();
-            t.beacon_of_url(&url) == self.config.id && table_version >= t.version
+            t.beacon_of(&doc) == self.config.id && table_version >= t.version
         };
         if owner {
             let mut dir = self.state.directory.lock();
             let known = dir.get(&url).map_or(0, |e| e.version);
             let copy = self
                 .state
-                .bodies
+                .resident
                 .lock()
+                .bodies
                 .get(&url)
                 .filter(|b| b.version >= known)
                 .map(|b| (b.version, b.data.clone()));
@@ -855,6 +873,9 @@ impl Node {
     async fn serve_miss(&self, io: &ShardIo, url: String) -> Response {
         let tel = &self.state.telemetry;
         let me = self.config.id;
+        // The one digest of this URL the miss needs: routing, beacon load
+        // and the store all reuse it.
+        let doc = DocId::from_url(&url);
 
         // 2. Beacon fill, failing over along the ring. Ring partners carry
         // lazily replicated directory state (paper §3.3), so when the
@@ -865,7 +886,7 @@ impl Node {
         self.emit(EventKind::BeaconLookup, Some(&url));
         let (candidates, table_version) = {
             let t = self.state.table.read();
-            (t.beacon_candidates_of_url(&url), t.version)
+            (t.beacon_candidates_of(&doc), t.version)
         };
         let fill = Request::Fill {
             url: url.clone(),
@@ -875,7 +896,7 @@ impl Node {
         let mut holders = None;
         for (i, b) in candidates.into_iter().enumerate() {
             let resp = if b == me {
-                self.note_beacon_load(&url);
+                self.note_beacon_load(&doc);
                 self.holders_of(&url)
             } else {
                 match self.rpc(io, b, &fill).await {
@@ -893,7 +914,7 @@ impl Node {
                     self.emit(EventKind::BeaconFill, Some(&url));
                     tel.cloud_hits.inc();
                     self.emit(EventKind::CloudHit, Some(&url));
-                    return self.keep_fill(io, b, url, version, body).await;
+                    return self.keep_fill(io, b, url, &doc, version, body).await;
                 }
                 Response::Holders { holders: hs, .. } => {
                     holders = Some(hs);
@@ -930,7 +951,8 @@ impl Node {
             {
                 tel.cloud_hits.inc();
                 self.emit(EventKind::CloudHit, Some(&url));
-                self.store(io, url, version, body.clone(), false).await;
+                self.store(io, url, &doc, version, body.clone(), false)
+                    .await;
                 return Response::Document { version, body };
             }
             tel.peer_fetch_failures.inc();
@@ -958,11 +980,12 @@ impl Node {
         io: &ShardIo,
         beacon: u32,
         url: String,
+        doc: &DocId,
         version: u64,
         body: Bytes,
     ) -> Response {
         let stored = self
-            .store(io, url.clone(), version, body.clone(), true)
+            .store(io, url.clone(), doc, version, body.clone(), true)
             .await;
         if !matches!(stored, Response::Ok) {
             let table_version = self.state.table.read().version;
@@ -976,7 +999,7 @@ impl Node {
                 self.emit(EventKind::UnregisterFailure, Some(&url));
             }
         }
-        match self.state.bodies.lock().get(&url) {
+        match self.state.resident.lock().bodies.get(&url) {
             Some(b) if b.version > version => Response::Document {
                 version: b.version,
                 body: b.data.clone(),
@@ -990,7 +1013,8 @@ impl Node {
     /// first, the peers concurrently. Each failed delivery is counted
     /// under `update_delivery_failures`: that holder may stay stale.
     async fn update(&self, io: &ShardIo, url: String, version: u64, body: Bytes) -> Response {
-        self.note_beacon_load(&url);
+        let doc = DocId::from_url(&url);
+        self.note_beacon_load(&doc);
         let holders: Vec<u32> = {
             let mut dir = self.state.directory.lock();
             let entry = dir.entry(url.clone()).or_default();
@@ -1012,7 +1036,7 @@ impl Node {
         let mut failures = 0u64;
         if holders.contains(&me) {
             let own = self
-                .store(io, url.clone(), version, body.clone(), false)
+                .store(io, url.clone(), &doc, version, body.clone(), false)
                 .await;
             failures += u64::from(!matches!(own, Response::Ok));
         }

@@ -8,15 +8,19 @@
 //! sub-range handoffs move the affected records between beacon points, and
 //! the simulator charges that transfer as traffic.
 
-use std::collections::{HashMap, HashSet};
+use cachecloud_types::{CacheId, DocId, DocMap, Version};
 
-use cachecloud_types::{CacheId, DocId, Version};
-
-/// Per-document holder sets plus the origin-side version the cloud has seen.
+/// Per-document holder lists plus the origin-side version the cloud has
+/// seen.
+///
+/// Each holder list is a `Vec` kept in ascending id order: a cloud has a
+/// handful of caches, so a binary search over a short vector beats a hash
+/// set, and [`CloudDirectory::holders`] copies the list out as stored,
+/// already sorted.
 #[derive(Debug, Default)]
 pub struct CloudDirectory {
-    holders: HashMap<DocId, HashSet<CacheId>>,
-    versions: HashMap<DocId, Version>,
+    holders: DocMap<Vec<CacheId>>,
+    versions: DocMap<Version>,
 }
 
 impl CloudDirectory {
@@ -28,39 +32,44 @@ impl CloudDirectory {
     /// Registers `cache` as a holder of `doc`. Returns `true` if it was not
     /// already registered.
     pub fn register(&mut self, doc: &DocId, cache: CacheId) -> bool {
-        self.holders.entry(doc.clone()).or_default().insert(cache)
+        let Some(list) = self.holders.get_mut(doc) else {
+            self.holders.insert(doc.clone(), vec![cache]);
+            return true;
+        };
+        match list.binary_search(&cache) {
+            Ok(_) => false,
+            Err(at) => {
+                list.insert(at, cache);
+                true
+            }
+        }
     }
 
     /// Unregisters `cache` as a holder of `doc` (after an eviction or
     /// drop). Returns `true` if it was registered.
     pub fn unregister(&mut self, doc: &DocId, cache: CacheId) -> bool {
-        match self.holders.get_mut(doc) {
-            Some(set) => {
-                let removed = set.remove(&cache);
-                if set.is_empty() {
-                    self.holders.remove(doc);
-                }
-                removed
-            }
-            None => false,
+        let Some(list) = self.holders.get_mut(doc) else {
+            return false;
+        };
+        let Ok(at) = list.binary_search(&cache) else {
+            return false;
+        };
+        list.remove(at);
+        if list.is_empty() {
+            self.holders.remove(doc);
         }
+        true
     }
 
     /// The caches currently holding `doc`, in ascending id order (the
     /// deterministic order the lookup response lists them in).
     pub fn holders(&self, doc: &DocId) -> Vec<CacheId> {
-        let mut v: Vec<CacheId> = self
-            .holders
-            .get(doc)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
+        self.holders.get(doc).cloned().unwrap_or_default()
     }
 
     /// Number of copies of `doc` in the cloud.
     pub fn copy_count(&self, doc: &DocId) -> usize {
-        self.holders.get(doc).map_or(0, HashSet::len)
+        self.holders.get(doc).map_or(0, Vec::len)
     }
 
     /// Whether any copy of `doc` exists in the cloud.
@@ -76,7 +85,7 @@ impl CloudDirectory {
     /// Total (document, holder) records — the directory's size, which is
     /// what a sub-range handoff has to move.
     pub fn total_records(&self) -> usize {
-        self.holders.values().map(HashSet::len).sum()
+        self.holders.values().map(Vec::len).sum()
     }
 
     /// Iterates over all held documents and their holder counts.
@@ -86,9 +95,11 @@ impl CloudDirectory {
 
     /// Records that the cloud has seen `version` of `doc`.
     pub fn note_version(&mut self, doc: &DocId, version: Version) {
-        let v = self.versions.entry(doc.clone()).or_insert(version);
-        if version > *v {
-            *v = version;
+        match self.versions.get_mut(doc) {
+            Some(v) => *v = (*v).max(version),
+            None => {
+                self.versions.insert(doc.clone(), version);
+            }
         }
     }
 

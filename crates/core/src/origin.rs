@@ -1,7 +1,7 @@
 //! The origin server: authoritative versions and update-rate monitoring.
 
 use cachecloud_placement::RateMonitor;
-use cachecloud_types::{DocId, SimDuration, SimTime, Version};
+use cachecloud_types::{DocId, DocMap, SimDuration, SimTime, Version};
 
 /// The origin server of the dynamic documents.
 ///
@@ -12,7 +12,7 @@ use cachecloud_types::{DocId, SimDuration, SimTime, Version};
 /// view is as fresh as their last contact).
 #[derive(Debug)]
 pub struct OriginServer {
-    versions: std::collections::HashMap<DocId, Version>,
+    versions: DocMap<Version>,
     update_monitor: RateMonitor,
     updates: u64,
 }
@@ -21,7 +21,7 @@ impl OriginServer {
     /// Creates an origin with the given update-rate monitor half-life.
     pub fn new(monitor_half_life: SimDuration) -> Self {
         OriginServer {
-            versions: std::collections::HashMap::new(),
+            versions: DocMap::default(),
             update_monitor: RateMonitor::new(monitor_half_life),
             updates: 0,
         }
@@ -32,9 +32,17 @@ impl OriginServer {
     pub fn apply_update(&mut self, doc: &DocId, now: SimTime) -> Version {
         self.updates += 1;
         self.update_monitor.record(doc, now);
-        let v = self.versions.entry(doc.clone()).or_insert(Version::INITIAL);
-        *v = v.next();
-        *v
+        match self.versions.get_mut(doc) {
+            Some(v) => {
+                *v = v.next();
+                *v
+            }
+            None => {
+                let v = Version::INITIAL.next();
+                self.versions.insert(doc.clone(), v);
+                v
+            }
+        }
     }
 
     /// The authoritative version of `doc`.

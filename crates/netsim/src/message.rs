@@ -65,8 +65,16 @@ impl MessageKind {
         }
     }
 
+    /// Number of message kinds.
+    pub const COUNT: usize = 7;
+
+    /// This kind's position in [`MessageKind::all`], for per-kind arrays.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// All message kinds, for exhaustive reports.
-    pub fn all() -> [MessageKind; 7] {
+    pub fn all() -> [MessageKind; Self::COUNT] {
         [
             MessageKind::LookupRequest,
             MessageKind::LookupResponse,
@@ -109,6 +117,13 @@ mod tests {
                 ByteSize::from_bytes(CONTROL_BYTES + 10 * 1024)
             );
             assert!(kind.carries_body());
+        }
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, kind) in MessageKind::all().into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
         }
     }
 

@@ -1,8 +1,6 @@
 //! Traffic accounting: bytes moved per message kind and scope, binned per
 //! unit time.
 
-use std::collections::HashMap;
-
 use cachecloud_metrics::BinnedSeries;
 use cachecloud_types::{ByteSize, SimDuration, SimTime};
 
@@ -30,7 +28,8 @@ use crate::message::MessageKind;
 pub struct TrafficMeter {
     bin_width: SimDuration,
     series: BinnedSeries,
-    by_kind: HashMap<MessageKind, u64>,
+    /// Bytes per kind, indexed by [`MessageKind::index`].
+    by_kind: [u64; MessageKind::COUNT],
     intra_cloud: u64,
     wide_area: u64,
     messages: u64,
@@ -51,7 +50,7 @@ impl TrafficMeter {
         TrafficMeter {
             bin_width,
             series: BinnedSeries::new(bin_width),
-            by_kind: HashMap::new(),
+            by_kind: [0; MessageKind::COUNT],
             intra_cloud: 0,
             wide_area: 0,
             messages: 0,
@@ -64,7 +63,7 @@ impl TrafficMeter {
     pub fn record(&mut self, at: SimTime, kind: MessageKind, body: ByteSize, intra_cloud: bool) {
         let wire = kind.wire_size(body);
         self.series.record(at, wire.as_mb_f64());
-        *self.by_kind.entry(kind).or_insert(0) += wire.as_bytes();
+        self.by_kind[kind.index()] += wire.as_bytes();
         if intra_cloud {
             self.intra_cloud += wire.as_bytes();
         } else {
@@ -95,7 +94,7 @@ impl TrafficMeter {
 
     /// Bytes moved by one message kind.
     pub fn bytes_for(&self, kind: MessageKind) -> ByteSize {
-        ByteSize::from_bytes(self.by_kind.get(&kind).copied().unwrap_or(0))
+        ByteSize::from_bytes(self.by_kind[kind.index()])
     }
 
     /// Mean MB transferred per time bin over exactly `bins` bins (the

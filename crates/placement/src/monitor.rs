@@ -6,9 +6,7 @@
 //! implements that monitoring with exponentially decayed counters: cheap,
 //! O(1) per event, and naturally weighted toward the recent past.
 
-use std::collections::HashMap;
-
-use cachecloud_types::{DocId, SimDuration, SimTime};
+use cachecloud_types::{DocId, DocMap, SimDuration, SimTime};
 
 /// An exponentially decayed event-rate estimator over many documents.
 ///
@@ -38,7 +36,7 @@ pub struct RateMonitor {
     /// Decay constant per microsecond.
     lambda_per_us: f64,
     /// doc -> (decayed counter, last update time).
-    counters: HashMap<DocId, (f64, SimTime)>,
+    counters: DocMap<(f64, SimTime)>,
 }
 
 impl RateMonitor {
@@ -51,16 +49,22 @@ impl RateMonitor {
         assert!(!half_life.is_zero(), "half-life must be non-zero");
         RateMonitor {
             lambda_per_us: std::f64::consts::LN_2 / half_life.as_micros() as f64,
-            counters: HashMap::new(),
+            counters: DocMap::default(),
         }
     }
 
     /// Records one event for `doc` at time `now`.
     pub fn record(&mut self, doc: &DocId, now: SimTime) {
-        let entry = self.counters.entry(doc.clone()).or_insert((0.0, now));
-        let dt = now.saturating_since(entry.1).as_micros() as f64;
-        entry.0 = entry.0 * (-self.lambda_per_us * dt).exp() + 1.0;
-        entry.1 = now;
+        match self.counters.get_mut(doc) {
+            Some((counter, last)) => {
+                let dt = now.saturating_since(*last).as_micros() as f64;
+                *counter = *counter * (-self.lambda_per_us * dt).exp() + 1.0;
+                *last = now;
+            }
+            None => {
+                self.counters.insert(doc.clone(), (1.0, now));
+            }
+        }
     }
 
     /// The estimated event rate of `doc` in events per minute at `now`.

@@ -1,9 +1,9 @@
 //! Replacement policies: LRU (the paper's choice for Figure 9), FIFO, LFU
 //! and GreedyDual-Size (Cao & Irani, the paper's citation \[3\]).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
-use cachecloud_types::{ByteSize, DocId, SimTime};
+use cachecloud_types::{ByteSize, DocId, DocMap, SimTime};
 
 /// Chooses eviction victims for a [`crate::CacheStore`].
 ///
@@ -36,6 +36,117 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
     }
 }
 
+/// Documents in recency order: a doubly linked list threaded through a slab
+/// of slots, plus a [`DocMap`] from document to slot. Moving a document to
+/// the back, removing it and reading the front are O(1), and only a
+/// document's first insert clones its `DocId`.
+#[derive(Debug)]
+struct RecencyList {
+    index: DocMap<usize>,
+    slots: Vec<Slot>,
+    /// Vacated slots, reused before the slab grows.
+    free: Vec<usize>,
+    /// Oldest entry, or [`NIL`].
+    head: usize,
+    /// Newest entry, or [`NIL`].
+    tail: usize,
+}
+
+/// The end-of-list link.
+const NIL: usize = usize::MAX;
+
+#[derive(Debug)]
+struct Slot {
+    doc: DocId,
+    prev: usize,
+    next: usize,
+}
+
+impl Default for RecencyList {
+    fn default() -> Self {
+        RecencyList {
+            index: DocMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl RecencyList {
+    /// Makes `doc` the newest entry, adding it if absent.
+    fn push_back(&mut self, doc: &DocId) {
+        if let Some(&slot) = self.index.get(doc) {
+            self.unlink(slot);
+            self.link_back(slot);
+            return;
+        }
+        let entry = Slot {
+            doc: doc.clone(),
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(doc.clone(), slot);
+        self.link_back(slot);
+    }
+
+    /// Makes `doc` the newest entry if present.
+    fn move_to_back(&mut self, doc: &DocId) {
+        if let Some(&slot) = self.index.get(doc) {
+            self.unlink(slot);
+            self.link_back(slot);
+        }
+    }
+
+    fn remove(&mut self, doc: &DocId) {
+        if let Some(slot) = self.index.remove(doc) {
+            self.unlink(slot);
+            self.free.push(slot);
+        }
+    }
+
+    fn front(&self) -> Option<&DocId> {
+        self.slots.get(self.head).map(|s| &s.doc)
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn link_back(&mut self, slot: usize) {
+        self.slots[slot].prev = self.tail;
+        self.slots[slot].next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.slots[t].next = slot,
+        }
+        self.tail = slot;
+    }
+}
+
 /// Least-recently-used replacement (the paper's Figure 9 configuration).
 ///
 /// # Examples
@@ -53,25 +164,14 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
 /// ```
 #[derive(Debug, Default)]
 pub struct LruPolicy {
-    /// doc -> recency stamp.
-    stamp: HashMap<DocId, u64>,
-    /// (recency stamp, doc), ordered oldest-first.
-    order: BTreeSet<(u64, DocId)>,
-    tick: u64,
+    /// Least recently used first.
+    order: RecencyList,
 }
 
 impl LruPolicy {
     /// Creates an empty LRU policy.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn touch(&mut self, doc: &DocId) {
-        self.tick += 1;
-        if let Some(old) = self.stamp.insert(doc.clone(), self.tick) {
-            self.order.remove(&(old, doc.clone()));
-        }
-        self.order.insert((self.tick, doc.clone()));
     }
 }
 
@@ -80,30 +180,27 @@ impl ReplacementPolicy for LruPolicy {
         "lru"
     }
     fn on_insert(&mut self, doc: &DocId, _size: ByteSize, _now: SimTime) {
-        self.touch(doc);
+        self.order.push_back(doc);
     }
     fn on_access(&mut self, doc: &DocId, _now: SimTime) {
-        self.touch(doc);
+        self.order.move_to_back(doc);
     }
     fn on_remove(&mut self, doc: &DocId) {
-        if let Some(old) = self.stamp.remove(doc) {
-            self.order.remove(&(old, doc.clone()));
-        }
+        self.order.remove(doc);
     }
     fn victim(&mut self) -> Option<DocId> {
-        self.order.first().map(|(_, d)| d.clone())
+        self.order.front().cloned()
     }
     fn len(&self) -> usize {
-        self.stamp.len()
+        self.order.len()
     }
 }
 
 /// First-in-first-out replacement: recency of *insertion* only.
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
-    stamp: HashMap<DocId, u64>,
-    order: BTreeSet<(u64, DocId)>,
-    tick: u64,
+    /// Earliest (re)inserted first.
+    order: RecencyList,
 }
 
 impl FifoPolicy {
@@ -118,23 +215,17 @@ impl ReplacementPolicy for FifoPolicy {
         "fifo"
     }
     fn on_insert(&mut self, doc: &DocId, _size: ByteSize, _now: SimTime) {
-        self.tick += 1;
-        if let Some(old) = self.stamp.insert(doc.clone(), self.tick) {
-            self.order.remove(&(old, doc.clone()));
-        }
-        self.order.insert((self.tick, doc.clone()));
+        self.order.push_back(doc);
     }
     fn on_access(&mut self, _doc: &DocId, _now: SimTime) {}
     fn on_remove(&mut self, doc: &DocId) {
-        if let Some(old) = self.stamp.remove(doc) {
-            self.order.remove(&(old, doc.clone()));
-        }
+        self.order.remove(doc);
     }
     fn victim(&mut self) -> Option<DocId> {
-        self.order.first().map(|(_, d)| d.clone())
+        self.order.front().cloned()
     }
     fn len(&self) -> usize {
-        self.stamp.len()
+        self.order.len()
     }
 }
 
@@ -142,9 +233,10 @@ impl ReplacementPolicy for FifoPolicy {
 #[derive(Debug, Default)]
 pub struct LfuPolicy {
     /// doc -> (frequency, insertion sequence).
-    state: HashMap<DocId, (u64, u64)>,
-    /// (frequency, sequence, doc), ordered coldest-first.
-    order: BTreeSet<(u64, u64, DocId)>,
+    state: DocMap<(u64, u64)>,
+    /// (frequency, sequence) -> doc, coldest first. Sequences are unique,
+    /// so each key names one document.
+    order: BTreeMap<(u64, u64), DocId>,
     tick: u64,
 }
 
@@ -156,16 +248,20 @@ impl LfuPolicy {
 
     fn bump(&mut self, doc: &DocId, reset: bool) {
         self.tick += 1;
-        let entry = self.state.entry(doc.clone()).or_insert((0, self.tick));
-        let old = (entry.0, entry.1, doc.clone());
-        if reset {
-            *entry = (1, self.tick);
+        let Some(key) = self.state.get_mut(doc) else {
+            // First sight: frequency 1 from an insert or an access alike.
+            let key = (1, self.tick);
+            self.state.insert(doc.clone(), key);
+            self.order.insert(key, doc.clone());
+            return;
+        };
+        let moved = self.order.remove(key).expect("order tracks every state");
+        *key = if reset {
+            (1, self.tick)
         } else {
-            entry.0 += 1;
-        }
-        let new = (entry.0, entry.1, doc.clone());
-        self.order.remove(&old);
-        self.order.insert(new);
+            (key.0 + 1, key.1)
+        };
+        self.order.insert(*key, moved);
     }
 }
 
@@ -180,12 +276,12 @@ impl ReplacementPolicy for LfuPolicy {
         self.bump(doc, false);
     }
     fn on_remove(&mut self, doc: &DocId) {
-        if let Some((f, s)) = self.state.remove(doc) {
-            self.order.remove(&(f, s, doc.clone()));
+        if let Some(key) = self.state.remove(doc) {
+            self.order.remove(&key);
         }
     }
     fn victim(&mut self) -> Option<DocId> {
-        self.order.first().map(|(_, _, d)| d.clone())
+        self.order.first_key_value().map(|(_, d)| d.clone())
     }
     fn len(&self) -> usize {
         self.state.len()
@@ -214,10 +310,11 @@ impl Ord for TotalF64 {
 /// 2 MiB.
 #[derive(Debug, Default)]
 pub struct GreedyDualSizePolicy {
-    /// doc -> (H value, sequence).
-    state: HashMap<DocId, (TotalF64, u64)>,
-    order: BTreeSet<(TotalF64, u64, DocId)>,
-    sizes: HashMap<DocId, ByteSize>,
+    /// doc -> ((H value, sequence), size).
+    state: DocMap<((TotalF64, u64), ByteSize)>,
+    /// (H value, sequence) -> doc, lowest H first. Sequences are unique,
+    /// so each key names one document.
+    order: BTreeMap<(TotalF64, u64), DocId>,
     inflation: f64,
     tick: u64,
 }
@@ -233,12 +330,23 @@ impl GreedyDualSizePolicy {
         self.inflation + 1.0 / (size.as_bytes().max(1) as f64 / 1024.0)
     }
 
-    fn set(&mut self, doc: &DocId, h: f64) {
+    fn set(&mut self, doc: &DocId, size: ByteSize) {
         self.tick += 1;
-        if let Some((old_h, old_s)) = self.state.insert(doc.clone(), (TotalF64(h), self.tick)) {
-            self.order.remove(&(old_h, old_s, doc.clone()));
+        let key = (TotalF64(self.h_value(size)), self.tick);
+        match self.state.get_mut(doc) {
+            Some(entry) => {
+                let moved = self
+                    .order
+                    .remove(&entry.0)
+                    .expect("order tracks every state");
+                *entry = (key, size);
+                self.order.insert(key, moved);
+            }
+            None => {
+                self.state.insert(doc.clone(), (key, size));
+                self.order.insert(key, doc.clone());
+            }
         }
-        self.order.insert((TotalF64(h), self.tick, doc.clone()));
     }
 }
 
@@ -247,24 +355,20 @@ impl ReplacementPolicy for GreedyDualSizePolicy {
         "gds"
     }
     fn on_insert(&mut self, doc: &DocId, size: ByteSize, _now: SimTime) {
-        self.sizes.insert(doc.clone(), size);
-        let h = self.h_value(size);
-        self.set(doc, h);
+        self.set(doc, size);
     }
     fn on_access(&mut self, doc: &DocId, _now: SimTime) {
-        if let Some(&size) = self.sizes.get(doc) {
-            let h = self.h_value(size);
-            self.set(doc, h);
+        if let Some(&(_, size)) = self.state.get(doc) {
+            self.set(doc, size);
         }
     }
     fn on_remove(&mut self, doc: &DocId) {
-        self.sizes.remove(doc);
-        if let Some((h, s)) = self.state.remove(doc) {
-            self.order.remove(&(h, s, doc.clone()));
+        if let Some((key, _)) = self.state.remove(doc) {
+            self.order.remove(&key);
         }
     }
     fn victim(&mut self) -> Option<DocId> {
-        let (h, _, d) = self.order.first()?;
+        let ((h, _), d) = self.order.first_key_value()?;
         // Evicting at value H inflates L to H (classic GreedyDual).
         self.inflation = h.0;
         Some(d.clone())

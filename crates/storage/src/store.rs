@@ -1,8 +1,6 @@
 //! The byte-bounded document store of one edge cache.
 
-use std::collections::HashMap;
-
-use cachecloud_types::{ByteSize, CacheCloudError, DocId, SimDuration, SimTime, Version};
+use cachecloud_types::{ByteSize, CacheCloudError, DocId, DocMap, SimDuration, SimTime, Version};
 
 use crate::policy::ReplacementPolicy;
 use crate::residence::ResidenceEstimator;
@@ -50,7 +48,7 @@ pub struct CachedDocument {
 pub struct CacheStore {
     capacity: ByteSize,
     used: ByteSize,
-    docs: HashMap<DocId, CachedDocument>,
+    docs: DocMap<CachedDocument>,
     policy: Box<dyn ReplacementPolicy>,
     residence: ResidenceEstimator,
     evictions: u64,
@@ -66,7 +64,7 @@ impl CacheStore {
         CacheStore {
             capacity,
             used: ByteSize::ZERO,
-            docs: HashMap::new(),
+            docs: DocMap::default(),
             policy,
             residence: ResidenceEstimator::default(),
             evictions: 0,

@@ -4,19 +4,25 @@
 //! beacon-ring index can never be confused with a cache index, and a document
 //! is always addressed by its URL-derived [`DocId`].
 
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use crate::md5;
 
 /// Identifier of a document (a dynamic web page) — its URL plus the cached
 /// MD5 digest of that URL.
 ///
-/// Equality, ordering and hashing are by URL. The digest is computed once at
+/// Equality and ordering are by URL. The digest is computed once at
 /// construction and reused by every hash reduction, mirroring how an edge
-/// cache would memoize the digest in its metadata record. Clones are cheap
-/// (the URL is reference-counted), which matters because the simulator clones
-/// document identifiers on every request event.
+/// cache would memoize the digest in its metadata record. [`Hash`] writes
+/// only that digest, so hashing a `DocId` never reads the URL; equality
+/// checks a shared allocation first, then the digests, and compares URLs
+/// only when both digests match. Clones are cheap (the URL is
+/// reference-counted), which matters because the simulator clones document
+/// identifiers on every request event. Key maps by `DocId` with [`DocMap`].
 ///
 /// # Examples
 ///
@@ -67,7 +73,7 @@ impl DocId {
 
 impl PartialEq for DocId {
     fn eq(&self, other: &Self) -> bool {
-        self.url == other.url
+        Arc::ptr_eq(&self.url, &other.url) || (self.digest == other.digest && self.url == other.url)
     }
 }
 impl Eq for DocId {}
@@ -81,9 +87,11 @@ impl Ord for DocId {
         self.url.cmp(&other.url)
     }
 }
-impl std::hash::Hash for DocId {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.url.hash(state);
+impl Hash for DocId {
+    /// Writes the memoized digest only: equal URLs have equal digests, so
+    /// this agrees with `Eq`.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
     }
 }
 impl fmt::Display for DocId {
@@ -104,6 +112,80 @@ impl From<&str> for DocId {
 impl From<DocId> for String {
     fn from(id: DocId) -> Self {
         id.url.as_ref().to_owned()
+    }
+}
+
+/// A map keyed by [`DocId`], hashed with [`DocHasher`]: a lookup costs one
+/// xor and one multiply of the memoized digest, never a pass over the URL.
+///
+/// # Examples
+///
+/// ```
+/// use cachecloud_types::{DocId, DocMap};
+///
+/// let mut m: DocMap<u32> = DocMap::default();
+/// m.insert(DocId::from_url("/a"), 1);
+/// assert_eq!(m.get(&DocId::from_url("/a")), Some(&1));
+/// ```
+pub type DocMap<V> = HashMap<DocId, V, DocHashBuilder>;
+
+/// Builds [`DocHasher`]s seeded with this process's random key.
+///
+/// The digest is MD5 of a URL, and peers supply URLs, so a fixed mixing
+/// function would let anyone grind URLs that share a bucket. Like std's
+/// `RandomState`, the key makes bucket placement unpredictable from outside
+/// the process.
+#[derive(Debug, Clone, Copy)]
+pub struct DocHashBuilder {
+    key: u64,
+}
+
+impl Default for DocHashBuilder {
+    fn default() -> Self {
+        static KEY: OnceLock<u64> = OnceLock::new();
+        let key = *KEY.get_or_init(|| RandomState::new().hash_one(0x00C0_FFEE_u64));
+        DocHashBuilder { key }
+    }
+}
+
+impl BuildHasher for DocHashBuilder {
+    type Hasher = DocHasher;
+
+    fn build_hasher(&self) -> DocHasher {
+        DocHasher { state: self.key }
+    }
+}
+
+/// The hasher behind [`DocMap`]: each 64-bit word is xored into the state
+/// and mixed by one 64×64→128-bit multiply whose halves are folded
+/// together, so every input bit reaches the low (bucket) and high (tag)
+/// bits. A [`DocId`] writes exactly one word, its digest.
+#[derive(Debug, Clone, Copy)]
+pub struct DocHasher {
+    state: u64,
+}
+
+impl DocHasher {
+    /// An odd multiplier with no simple bit pattern (the golden ratio).
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for DocHasher {
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(Self::MUL);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
     }
 }
 
@@ -211,6 +293,53 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(a);
         assert!(set.contains(&b));
+    }
+
+    #[test]
+    fn doc_ids_from_separate_allocations_agree_under_doc_hasher() {
+        let owned = String::from("/sydney/results/100m-final.html");
+        let a = DocId::from_url(&owned);
+        let b = DocId::from_url(owned.clone());
+        assert!(!Arc::ptr_eq(&a.url, &b.url), "two allocations");
+        assert_eq!(a, b);
+        let build = DocHashBuilder::default();
+        assert_eq!(build.hash_one(&a), build.hash_one(&b));
+        let mut map: DocMap<u32> = DocMap::default();
+        map.insert(a.clone(), 7);
+        assert_eq!(map.get(&b), Some(&7));
+
+        let c = DocId::from_url("/sydney/results/200m-final.html");
+        assert_ne!(a, c);
+        assert_ne!(build.hash_one(&a), build.hash_one(&c));
+        assert_eq!(map.get(&c), None);
+    }
+
+    #[test]
+    fn doc_ids_with_equal_digests_still_compare_urls() {
+        // A forged digest collision must not make two URLs equal.
+        let a = DocId::from_url("/a");
+        let forged = DocId {
+            url: Arc::from("/b"),
+            digest: a.digest,
+        };
+        assert_ne!(a, forged);
+        assert_eq!(a, a.clone());
+    }
+
+    #[test]
+    fn doc_hasher_mixes_every_word_bit() {
+        // Digests differing in one bit land in different low bits, so
+        // grinding URLs for a shared digest suffix does not share buckets.
+        for key in [0, 0x0123_4567_89AB_CDEF, u64::MAX] {
+            let hash = |word: u64| {
+                let mut h = DocHasher { state: key };
+                h.write_u64(word);
+                h.finish()
+            };
+            for bit in 0..64 {
+                assert_ne!(hash(0) & 0xFFFF, hash(1 << bit) & 0xFFFF, "bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub mod time;
 pub use crate::bytes::ByteSize;
 pub use crate::capability::Capability;
 pub use crate::error::{CacheCloudError, Result};
-pub use crate::ids::{CacheId, CloudId, DocId, RingId, Version};
+pub use crate::ids::{CacheId, CloudId, DocHashBuilder, DocHasher, DocId, DocMap, RingId, Version};
 pub use crate::time::{SimDuration, SimTime};

@@ -113,13 +113,21 @@ impl Md5 {
     /// Completes the digest, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: a 0x80 byte, zeros, then the 64-bit little-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: a 0x80 byte, zeros up to byte 56 of a block, then the
+        // 64-bit little-endian bit length. `update` leaves at most 63
+        // pending bytes, so the 0x80 byte always fits; when it lands past
+        // byte 55 the length spills into one more block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        if n >= 56 {
+            self.buf[n + 1..].fill(0);
+            let block = self.buf;
+            self.compress(&block);
+            self.buf[..56].fill(0);
+        } else {
+            self.buf[n + 1..56].fill(0);
         }
-        // Splice in the length without counting it toward `len`.
-        self.buf[56..64].copy_from_slice(&bit_len.to_le_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_le_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -275,6 +283,25 @@ mod tests {
             let mut h = Md5::new();
             h.update(&data);
             assert_eq!(h.finalize(), md5(&data), "len {n}");
+        }
+    }
+
+    /// Known answers at the padding boundaries: 55 bytes leave room for
+    /// the length in the last block, 56 and 63 push it into one more, 64
+    /// pads a whole extra block, and 119 is the two-block case of 55.
+    /// Message byte `i` is `(7i + 3) mod 256`.
+    #[test]
+    fn padding_boundary_vectors() {
+        let cases = [
+            (55usize, "52c0e574e1198de5fe3f8f11440dcb1b"),
+            (56, "46c9907fc908ee68b1e7b8e71286a518"),
+            (63, "a62f6d59e837867693f042f5b8f5a236"),
+            (64, "7160b8fb5e9e4023d549c3971fbaeead"),
+            (119, "e84905d4214f4d1ca56c2cdcc152b143"),
+        ];
+        for (n, want) in cases {
+            let data: Vec<u8> = (0..n).map(|i| (i * 7 + 3) as u8).collect();
+            assert_eq!(to_hex(&md5(&data)), want, "len {n}");
         }
     }
 
